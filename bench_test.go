@@ -289,23 +289,6 @@ func BenchmarkAblationMarkingOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationFollowsAccumulation compares the map-based pairwise-order
-// accumulator against the dense-matrix variant that production uses (the
-// dense path won this ablation and became the default in followsCounts).
-func BenchmarkAblationFollowsAccumulation(b *testing.B) {
-	_, l := syntheticLog(b, 50, 2000)
-	b.Run("map", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = core.FollowsCountsMap(l)
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = core.FollowsCounts(l)
-		}
-	})
-}
-
 // BenchmarkAblationParallelFollows compares the sequential step-2 scan
 // against the sharded scan at forced worker counts on the largest Table 1
 // workload (the cell the ISSUE acceptance pins). cmd/benchreport records the

@@ -122,6 +122,12 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Install the SIGTERM/SIGINT handler before anything prints: a
+	// supervisor may signal as soon as it reads the readiness line, and a
+	// signal that arrives before the handler kills the process undrained,
+	// with no checkpoint.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	// Structured logs go to stderr as JSON; stdout is reserved for the
 	// plain readiness and drain lines that supervisors parse.
@@ -181,8 +187,6 @@ func run(args []string, stdout io.Writer) error {
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	hs := &http.Server{Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

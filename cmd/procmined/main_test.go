@@ -218,6 +218,33 @@ func TestSigtermDrain(t *testing.T) {
 	}
 }
 
+// TestSigtermAtReadiness signals the moment the readiness line is read, as
+// a supervisor may: the handler must already be installed, so the process
+// drains cleanly and checkpoints every shard.
+func TestSigtermAtReadiness(t *testing.T) {
+	dir := t.TempDir()
+	d := startDaemon(t, "-shards", "3", "-snapshot-dir", dir)
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var rest []string
+	for d.out.Scan() {
+		rest = append(rest, d.out.Text())
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Fatalf("SIGTERM at readiness: exit %v; stdout after readiness: %q", err, rest)
+	}
+	if !strings.Contains(strings.Join(rest, "\n"), "drained cleanly") {
+		t.Errorf("no clean drain reported; stdout after readiness: %q", rest)
+	}
+	for i := 0; i < 3; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("shard-%04d.snap.json", i))
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("no checkpoint for shard %d: %v", i, err)
+		}
+	}
+}
+
 // TestOverloadAndRecovery checks the backpressure contract through the real
 // HTTP stack: an overloaded shard sheds with 429 + Retry-After while other
 // traffic keeps flowing.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"procmine/internal/graph"
+	"procmine/internal/obs"
 	"procmine/internal/wlog"
 )
 
@@ -28,41 +29,45 @@ var (
 	ErrTooManyInstances = errors.New("core: too many activity instances")
 )
 
-// checkAlphabet enforces Options.MaxActivities against a log.
-func checkAlphabet(l *wlog.Log, opt Options) error {
-	if opt.MaxActivities <= 0 {
-		return nil
-	}
-	if n := len(l.Activities()); n > opt.MaxActivities {
+// checkAlphabet enforces Options.MaxActivities against an alphabet of n
+// activities.
+func checkAlphabet(n int, opt Options) error {
+	if opt.MaxActivities > 0 && n > opt.MaxActivities {
 		return fmt.Errorf("%w: %d > MaxActivities=%d", ErrTooManyActivities, n, opt.MaxActivities)
 	}
 	return nil
 }
 
-// checkInstances enforces Options.MaxInstanceLabels: the maximum number of
-// occurrences of a single activity within a single execution.
-func checkInstances(l *wlog.Log, opt Options) error {
-	if opt.MaxInstanceLabels <= 0 {
-		return nil
-	}
+// repeats reports whether some execution repeats an activity. With max > 0
+// it also enforces Options.MaxInstanceLabels, failing on the first
+// activity that occurs more than max times within one execution.
+func repeats(l *wlog.Log, max int) (bool, error) {
+	found := false
 	for _, exec := range l.Executions {
 		counts := make(map[string]int, len(exec.Steps))
 		for _, s := range exec.Steps {
 			counts[s.Activity]++
-			if k := counts[s.Activity]; k > opt.MaxInstanceLabels {
-				return fmt.Errorf("%w: execution %q repeats %q %d times > MaxInstanceLabels=%d",
-					ErrTooManyInstances, exec.ID, s.Activity, k, opt.MaxInstanceLabels)
+			k := counts[s.Activity]
+			if max > 0 && k > max {
+				return true, fmt.Errorf("%w: execution %q repeats %q %d times > MaxInstanceLabels=%d",
+					ErrTooManyInstances, exec.ID, s.Activity, k, max)
+			}
+			if k > 1 {
+				if max <= 0 {
+					return true, nil
+				}
+				found = true
 			}
 		}
 	}
-	return nil
+	return found, nil
 }
 
 // MineSpecialDAGContext is MineSpecialDAG with cancellation and limits: ctx
 // is checked between the precondition scan, the pair-counting pass, and the
 // transitive reduction.
 func MineSpecialDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	if err := checkAlphabet(l, opt); err != nil {
+	if err := checkAlphabet(l.Columnar().Alphabet(), opt); err != nil {
 		return nil, err
 	}
 	if err := specialFormError(l); err != nil {
@@ -73,8 +78,7 @@ func MineSpecialDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*grap
 	}
 	// The follows scan waits on a fixed fan-out of CPU-bound workers that
 	// always terminate; cancellation is honored at the phase boundaries
-	// around it, and pushing ctx into the scan itself is the columnar-scan
-	// refactor tracked in ROADMAP.md.
+	// around it.
 	//lint:ignore procmine/ctxleak scan workers are bounded CPU work; ctx is checked at phase boundaries
 	g, err := buildFollowsGraph(l, opt)
 	if err != nil {
@@ -98,31 +102,7 @@ func MineSpecialDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*grap
 // transitive reduction of the marking pass (the O(mn³) hot spot), so a
 // cancelled mine returns promptly even on very large logs.
 func MineGeneralDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	if err := checkAlphabet(l, opt); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	//lint:ignore procmine/ctxleak scan workers are bounded CPU work; ctx is checked at phase boundaries
-	g, err := dependencyGraph(l, opt) // steps 1-4
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	marked, err := markRequired(ctx, g, l.Columnar())
-	if err != nil {
-		return nil, err
-	}
-	// Step 6: remove the unmarked edges.
-	for _, e := range g.Edges() {
-		if !marked[e] {
-			g.RemoveEdge(e.From, e.To)
-		}
-	}
-	return g, nil
+	return mine(ctx, l, opt, algorithm2, nil)
 }
 
 // MineCyclicContext is MineCyclic with cancellation and limits: the
@@ -130,31 +110,129 @@ func MineGeneralDAGContext(ctx context.Context, l *wlog.Log, opt Options) (*grap
 // before the labeled alphabet is materialized, and the labeled alphabet is
 // itself subject to Options.MaxActivities.
 func MineCyclicContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	if err := checkInstances(l, opt); err != nil {
-		return nil, err
-	}
-	labeled, err := LabelInstances(l)
-	if err != nil {
-		return nil, err
-	}
-	mined, err := MineGeneralDAGContext(ctx, labeled, opt)
-	if err != nil {
-		return nil, fmt.Errorf("core: mining labeled log: %w", err)
-	}
-	return MergeInstances(mined), nil
+	return mine(ctx, l, opt, algorithm3, nil)
 }
 
 // MineContext mines with automatic algorithm choice (like procmine.Mine)
-// under cancellation and limits.
+// under cancellation and limits: Algorithm 3 when some execution repeats an
+// activity, Algorithm 2 otherwise.
 func MineContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, error) {
-	for _, e := range l.Executions {
-		seen := make(map[string]bool, len(e.Steps))
-		for _, s := range e.Steps {
-			if seen[s.Activity] {
-				return MineCyclicContext(ctx, l, opt)
+	return mine(ctx, l, opt, algorithmAuto, nil)
+}
+
+// algorithm selects how the batch pipeline treats repeated activities.
+type algorithm int
+
+const (
+	algorithm2    algorithm = iota // mine the activities as they are
+	algorithm3                     // instance-label, mine, merge back
+	algorithmAuto                  // algorithm3 iff some execution repeats an activity
+)
+
+// mine is the one batch Algorithm 2/3 pipeline: every Mine*Context entry
+// point but Algorithm 1's, and MineWithDiagnosticsContext, run through it,
+// so option validation, limits, cancellation and the stage funnel come
+// from one place. Stages: label → columnar → scan → threshold (steps 1-3)
+// → scc (step 4) → mark (steps 5-6) → reduce (Algorithm 3's merge). A
+// non-nil diag receives the funnel counts and the stage trace; with nil,
+// neither is computed.
+func mine(ctx context.Context, l *wlog.Log, opt Options, alg algorithm, diag *Diagnostics) (*graph.Digraph, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var tr *obs.Trace
+	if diag != nil {
+		tr = obs.NewTrace()
+	}
+
+	sp := tr.Start("label")
+	labeled := alg == algorithm3
+	if alg != algorithm2 {
+		repeated, err := repeats(l, opt.MaxInstanceLabels)
+		if err != nil {
+			return nil, err
+		}
+		labeled = labeled || repeated
+	}
+	work := l
+	if labeled {
+		work = LabelInstances(l)
+	}
+	sp.End()
+
+	// Materializing the columnar view here makes its cost its own stage
+	// instead of folding it into the scan's.
+	sp = tr.Start("columnar")
+	col := work.Columnar()
+	sp.End()
+	if err := checkAlphabet(col.Alphabet(), opt); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	sp = tr.Start("scan")
+	// The follows scan waits on a fixed fan-out of CPU-bound workers that
+	// always terminate; cancellation is honored at the phase boundaries
+	// around it.
+	//lint:ignore procmine/ctxleak scan workers are bounded CPU work; ctx is checked at phase boundaries
+	pc := scanWith(work, scanWorkers(col.NumExecutions(), col.Alphabet()), tr)
+	sp.End()
+
+	sp = tr.Start("threshold")
+	g, err := assembleFollowsGraph(col.Labels(), pc, opt)
+	if err == nil && diag != nil {
+		err = diag.countPruned(pc, g, opt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sp.End()
+
+	sp = tr.Start("scc")
+	if diag != nil {
+		for _, c := range g.SCCs() {
+			if len(c) > 1 {
+				diag.SCCs = append(diag.SCCs, c)
 			}
-			seen[s.Activity] = true
 		}
 	}
-	return MineGeneralDAGContext(ctx, l, opt)
+	intraSCC := g.RemoveIntraSCCEdges()
+	sp.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	sp = tr.Start("mark")
+	marked, err := markRequired(ctx, g, col)
+	if err != nil {
+		return nil, err
+	}
+	unmarked := 0
+	for _, e := range g.Edges() {
+		if !marked[e] {
+			g.RemoveEdge(e.From, e.To)
+			unmarked++
+		}
+	}
+	sp.End()
+
+	sp = tr.Start("reduce")
+	if labeled {
+		g = MergeInstances(g)
+	}
+	sp.End()
+
+	if diag != nil {
+		diag.Executions, diag.Activities, diag.Labeled = l.Len(), col.Alphabet(), labeled
+		diag.OrderedPairs = len(pc.order)
+		diag.IntraSCCRemoved, diag.UnmarkedRemoved = intraSCC, unmarked
+		diag.FinalEdges = g.NumEdges()
+		diag.Stages = tr.Stages()
+	}
+	return g, nil
 }

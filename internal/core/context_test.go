@@ -95,6 +95,47 @@ func TestMaxInstanceLabelsLimit(t *testing.T) {
 	}
 }
 
+// TestMineWithDiagnosticsLimits checks that the traced pipeline enforces
+// the same limits as MineContext: for each limit, on an acyclic and on a
+// cyclic log, both fail with the same error, or both mine the same graph.
+func TestMineWithDiagnosticsLimits(t *testing.T) {
+	acyclic := wlog.LogFromStrings("ABCDE", "ACDBE")
+	cyclic := wlog.LogFromStrings("ABBBC", "ABBBC") // labeled alphabet: A#1 B#1 B#2 B#3 C#1
+	cases := []struct {
+		name string
+		l    *wlog.Log
+		opt  Options
+		want error
+	}{
+		{"activities/acyclic", acyclic, Options{MaxActivities: 4}, ErrTooManyActivities},
+		{"activities/cyclic", cyclic, Options{MaxActivities: 4}, ErrTooManyActivities},
+		{"activities/cyclic-within", cyclic, Options{MaxActivities: 5}, nil},
+		{"instances/acyclic", acyclic, Options{MaxInstanceLabels: 1}, nil},
+		{"instances/cyclic", cyclic, Options{MaxInstanceLabels: 2}, ErrTooManyInstances},
+		{"instances/cyclic-within", cyclic, Options{MaxInstanceLabels: 3}, nil},
+	}
+	for _, c := range cases {
+		g, err := MineContext(context.Background(), c.l, c.opt)
+		dg, diag, derr := MineWithDiagnosticsContext(context.Background(), c.l, c.opt)
+		if c.want == nil {
+			if err != nil || derr != nil {
+				t.Errorf("%s: errs %v / %v, want nil", c.name, err, derr)
+				continue
+			}
+			if !graph.EqualGraphs(g, dg) || diag.FinalEdges != g.NumEdges() {
+				t.Errorf("%s: diagnostics mined a different graph", c.name)
+			}
+			continue
+		}
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: MineContext err = %v, want %v", c.name, err, c.want)
+		}
+		if !errors.Is(derr, c.want) || dg != nil || diag != nil {
+			t.Errorf("%s: MineWithDiagnosticsContext = (%v, %v, %v), want error %v", c.name, dg, diag, derr, c.want)
+		}
+	}
+}
+
 // TestMineContextTimeoutAbortsMarking drives a deadline that expires during
 // the marking pass and checks the error surfaces rather than hanging.
 func TestMineContextTimeoutAbortsMarking(t *testing.T) {

@@ -111,47 +111,60 @@ type pairCounts struct {
 	cooc    map[graph.Edge]int // unordered (From < To) co-occurrence count
 }
 
-// denseAlphabetMax bounds the activity alphabet for which the dense n×n
-// accumulator is used; beyond it the n² int32 matrices (~20·n² bytes in
-// total) stop being worth their memory and the map path takes over. The
-// ablation benchmark measures the dense path several times faster on the
-// Table 1 workloads, where the O(len²·m) pair scan dominates mining.
-const denseAlphabetMax = 2048
-
-// scanCounts runs the step-2 scan (shared by every algorithm): the
-// columnar followsCounts kernel over pooled dense matrices for alphabets
-// up to denseAlphabetMax — sharded across scanWorkers goroutines when the
-// log is large enough — and the map accumulator beyond. The dense counts
-// are converted to the pairCounts map form exactly once, at the end, so
-// every downstream consumer (threshold rules, diagnostics, Support) reads
-// one representation regardless of the path taken.
-func scanCounts(l *wlog.Log) pairCounts {
-	return scanCountsTraced(l, nil)
+// newPairCounts returns empty step-2 counts.
+func newPairCounts() pairCounts {
+	return pairCounts{
+		order:   make(map[graph.Edge]int),
+		overlap: make(map[graph.Edge]int),
+		cooc:    make(map[graph.Edge]int),
+	}
 }
 
-// scanCountsTraced is scanCounts with per-worker stage spans recorded on tr
-// (nil disables tracing at zero cost — the trace plumbing lives entirely in
-// orchestration code, never in the hot kernel).
-func scanCountsTraced(l *wlog.Log, tr *obs.Trace) pairCounts {
+// denseAlphabetMax bounds the activity alphabet for which the whole log is
+// scanned into one dense n×n accumulator; beyond it the n² int32 matrices
+// (~20·n² bytes in total) stop being worth their memory, and each execution
+// is scanned on its own columnar view instead, whose alphabet is only that
+// execution's activities.
+const denseAlphabetMax = 2048
+
+// scanCounts runs the step-2 scan shared by every algorithm, sharded across
+// scanWorkers goroutines when the log is large enough.
+func scanCounts(l *wlog.Log) pairCounts {
 	col := l.Columnar()
-	n := col.Alphabet()
-	if n > denseAlphabetMax {
-		if w := scanWorkers(col.NumExecutions(), n); w > 1 {
-			return followsCountsMapParallel(l, w)
+	return scanWith(l, scanWorkers(col.NumExecutions(), col.Alphabet()), nil)
+}
+
+// scanWith runs the step-2 scan on workers goroutines (1 = sequential;
+// callers pick workers > 1 only for alphabets within
+// parallelDenseAlphabetMax): the followsCounts kernel over pooled dense
+// matrices for alphabets up to denseAlphabetMax, and over one small
+// per-execution view at a time beyond. Either way the dense counts reach
+// the pairCounts map form through pairCounts.add, so every downstream
+// consumer (threshold rules, diagnostics, Support) reads one
+// representation. A non-nil tr records one "scan/workerN" span per worker;
+// the trace plumbing lives entirely in orchestration code, never in the
+// hot kernel.
+func scanWith(l *wlog.Log, workers int, tr *obs.Trace) pairCounts {
+	col := l.Columnar()
+	pc := newPairCounts()
+	if col.Alphabet() > denseAlphabetMax {
+		sp := tr.Start("scan/worker0")
+		for _, exec := range l.Executions {
+			pc.addExecution(exec)
 		}
-		return followsCountsMap(l)
+		sp.End()
+		return pc
 	}
-	m := col.NumExecutions()
 	var cs *wlog.Counts
-	if w := scanWorkers(m, n); w > 1 {
-		cs = scanShards(col, w, tr)
+	if workers > 1 {
+		cs = scanShards(col, workers, tr)
 	} else {
 		sp := tr.Start("scan/worker0")
 		cs = col.AcquireCounts()
-		followsCounts(col, cs, 0, m)
+		followsCounts(col, cs, 0, col.NumExecutions())
 		sp.End()
 	}
-	pc := countsToPairs(col, cs)
+	pc.add(col.Labels(), cs)
 	col.ReleaseCounts(cs)
 	return pc
 }
@@ -232,82 +245,39 @@ func followsCounts(col *wlog.Columnar, cs *wlog.Counts, lo, hi int) {
 	}
 }
 
-// countsToPairs converts the dense interner-ID matrices to the pairCounts
-// map form the assembly and diagnostics stages consume. It runs once per
-// scan, outside the hot kernel.
-func countsToPairs(col *wlog.Columnar, cs *wlog.Counts) pairCounts {
-	labels := col.Labels()
+// add adds the dense counts cs, whose interner labels are labels, into pc.
+// It runs outside the hot kernel: once per batch scan, or once per
+// execution on the per-execution path.
+func (pc pairCounts) add(labels []string, cs *wlog.Counts) {
 	n := cs.N
-	pc := pairCounts{
-		order:   make(map[graph.Edge]int),
-		overlap: make(map[graph.Edge]int),
-		cooc:    make(map[graph.Edge]int),
-	}
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			cell := u*n + v
 			if c := cs.Order[cell]; c > 0 {
-				pc.order[graph.Edge{From: labels[u], To: labels[v]}] = int(c)
+				pc.order[graph.Edge{From: labels[u], To: labels[v]}] += int(c)
 			}
 			if u < v {
 				if c := cs.Overlap[cell]; c > 0 {
-					pc.overlap[graph.Edge{From: labels[u], To: labels[v]}] = int(c)
+					pc.overlap[graph.Edge{From: labels[u], To: labels[v]}] += int(c)
 				}
 				if c := cs.Cooc[cell]; c > 0 {
-					pc.cooc[graph.Edge{From: labels[u], To: labels[v]}] = int(c)
+					pc.cooc[graph.Edge{From: labels[u], To: labels[v]}] += int(c)
 				}
 			}
 		}
 	}
-	return pc
 }
 
-// followsCountsMap is the hash-map accumulator, retained for very large
-// alphabets where dense matrices would dominate memory (and as the oracle
-// the columnar kernel is property-tested against). FollowsCountsMap exposes
-// it for the ablation benchmark.
-func followsCountsMap(l *wlog.Log) pairCounts {
-	pc := pairCounts{
-		order:   make(map[graph.Edge]int),
-		overlap: make(map[graph.Edge]int),
-		cooc:    make(map[graph.Edge]int),
-	}
-	for _, exec := range l.Executions {
-		seenOrder := make(map[graph.Edge]bool)
-		seenOverlap := make(map[graph.Edge]bool)
-		acts := exec.ActivitySet()
-		for i := 0; i < len(acts); i++ {
-			for j := i + 1; j < len(acts); j++ {
-				pc.cooc[graph.Edge{From: acts[i], To: acts[j]}]++
-			}
-		}
-		steps := exec.Steps
-		for i := range steps {
-			for j := range steps {
-				if i == j || steps[i].Activity == steps[j].Activity {
-					continue
-				}
-				switch {
-				case steps[i].Before(steps[j]):
-					e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-					if !seenOrder[e] {
-						seenOrder[e] = true
-						pc.order[e]++
-					}
-				case i < j && steps[i].Overlaps(steps[j]):
-					e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-					if e.From > e.To {
-						e.From, e.To = e.To, e.From
-					}
-					if !seenOverlap[e] {
-						seenOverlap[e] = true
-						pc.overlap[e]++
-					}
-				}
-			}
-		}
-	}
-	return pc
+// addExecution counts one execution into pc: the followsCounts kernel runs
+// on the execution's own columnar view, whose alphabet — returned sorted —
+// is only the activities that execution contains, so the dense matrices
+// stay small however wide the log's alphabet is.
+func (pc pairCounts) addExecution(exec wlog.Execution) []string {
+	col := wlog.BuildColumnar(&wlog.Log{Executions: []wlog.Execution{exec}})
+	cs := col.AcquireCounts()
+	followsCounts(col, cs, 0, 1)
+	pc.add(col.Labels(), cs)
+	return col.Labels()
 }
 
 // buildFollowsGraph performs steps 1-3 shared by all algorithms: accumulate
@@ -338,29 +308,8 @@ func assembleFollowsGraph(activities []string, pc pairCounts, opt Options) (*gra
 	for _, a := range activities {
 		g.AddVertex(a)
 	}
-	adaptive := opt.adaptiveEnabled()
-	threshold := func(e graph.Edge) (int, error) {
-		if !adaptive {
-			return opt.MinSupport, nil
-		}
-		key := e
-		if key.From > key.To {
-			key.From, key.To = key.To, key.From
-		}
-		cooc := pc.cooc[key]
-		if cooc <= 0 {
-			// An observed pair co-occurs at least once, so a missing count
-			// can only accompany a zero observation; threshold 1 filters it.
-			return 1, nil
-		}
-		t, err := noise.ThresholdFor(cooc, opt.AdaptiveEpsilon)
-		if err != nil {
-			return 0, fmt.Errorf("core: adaptive threshold for %v: %w", e, err)
-		}
-		return t, nil
-	}
 	for e, c := range pc.order {
-		t, err := threshold(e)
+		t, err := pc.threshold(e, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +327,7 @@ func assembleFollowsGraph(activities []string, pc pairCounts, opt Options) (*gra
 		}
 	}
 	for e, c := range pc.overlap {
-		min, err := threshold(e)
+		min, err := pc.threshold(e, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -392,6 +341,31 @@ func assembleFollowsGraph(activities []string, pc pairCounts, opt Options) (*gra
 		g.RemoveEdge(e.To, e.From)
 	}
 	return g, nil
+}
+
+// threshold is the noise threshold the ordered or overlapping pair e must
+// reach: Options.MinSupport, or with Options.AdaptiveEpsilon the per-pair
+// Section 6 balance rule over the executions in which both activities
+// appear. The threshold stage and the diagnostics funnel both read it.
+func (pc pairCounts) threshold(e graph.Edge, opt Options) (int, error) {
+	if !opt.adaptiveEnabled() {
+		return opt.MinSupport, nil
+	}
+	key := e
+	if key.From > key.To {
+		key.From, key.To = key.To, key.From
+	}
+	cooc := pc.cooc[key]
+	if cooc <= 0 {
+		// An observed pair co-occurs at least once, so a missing count can
+		// only accompany a zero observation; threshold 1 filters it.
+		return 1, nil
+	}
+	t, err := noise.ThresholdFor(cooc, opt.AdaptiveEpsilon)
+	if err != nil {
+		return 0, fmt.Errorf("core: adaptive threshold for %v: %w", e, err)
+	}
+	return t, nil
 }
 
 // FollowsGraph returns the followings graph of the log after threshold
@@ -440,58 +414,20 @@ func specialFormError(l *wlog.Log) error {
 	return nil
 }
 
-// adaptiveThreshold is the per-pair Section 6 balance rule used by both the
-// followings-graph builder and the diagnostics funnel.
-func adaptiveThreshold(cooc int, eps float64) (int, error) {
-	return noise.ThresholdFor(cooc, eps)
-}
-
-// FollowsCountsMap returns the ordered-pair support counts computed with
-// the hash-map accumulator — the baseline the dense columnar kernel is
-// benchmarked against (see bench_test.go's ablations) and the oracle the
-// parallel scan is checked against.
-func FollowsCountsMap(l *wlog.Log) map[graph.Edge]int {
-	return followsCountsMap(l).order
-}
-
 // FollowsCountsSequential returns the ordered-pair support counts computed
-// by the single-threaded production path (the columnar dense kernel, or the
-// map accumulator past denseAlphabetMax, without sharding) — the baseline
-// of the parallel-scan ablation recorded in the bench trajectory
-// (cmd/benchreport).
+// by the single-threaded production scan — the baseline of the
+// parallel-scan ablation recorded in the bench trajectory (cmd/benchreport).
 func FollowsCountsSequential(l *wlog.Log) map[graph.Edge]int {
-	col := l.Columnar()
-	if col.Alphabet() > denseAlphabetMax {
-		return followsCountsMap(l).order
-	}
-	cs := col.AcquireCounts()
-	followsCounts(col, cs, 0, col.NumExecutions())
-	pc := countsToPairs(col, cs)
-	col.ReleaseCounts(cs)
-	return pc.order
+	return scanWith(l, 1, nil).order
 }
 
 // FollowsCountsParallel returns the ordered-pair support counts computed by
-// the sharded scan with exactly the given worker count, regardless of
-// GOMAXPROCS or the log's size — the treatment arm of the parallel-scan
-// ablation. Worker counts below 2 (or logs with fewer executions than
-// workers) fall back to the sequential accumulator. The result is
-// identical to FollowsCountsSequential's for every log and worker count.
+// the sharded scan with the given worker count, regardless of GOMAXPROCS or
+// the log's size — the treatment arm of the parallel-scan ablation. It runs
+// with ScanWorkersUsed(l, workers) workers, so degenerate requests and
+// alphabets past parallelDenseAlphabetMax run the sequential scan. The
+// result is identical to FollowsCountsSequential's for every log and worker
+// count.
 func FollowsCountsParallel(l *wlog.Log, workers int) map[graph.Edge]int {
-	col := l.Columnar()
-	if workers > col.NumExecutions() {
-		workers = col.NumExecutions()
-	}
-	if workers < 2 {
-		return FollowsCountsSequential(l)
-	}
-	if col.Alphabet() > parallelDenseAlphabetMax {
-		// Past the per-worker dense-memory budget the shards accumulate into
-		// maps, exactly as the auto-dispatched path would.
-		return followsCountsMapParallel(l, workers).order
-	}
-	cs := scanShards(col, workers, nil)
-	pc := countsToPairs(col, cs)
-	col.ReleaseCounts(cs)
-	return pc.order
+	return scanWith(l, ScanWorkersUsed(l, workers), nil).order
 }

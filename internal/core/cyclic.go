@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -16,27 +15,27 @@ const instanceSep = "#"
 
 // LabelInstances rewrites a log so that the i-th occurrence of activity A
 // within an execution becomes the distinct activity "A#i" (step 2 of
-// Algorithm 3). Activity names must not already contain the '#' separator.
-func LabelInstances(l *wlog.Log) (*wlog.Log, error) {
+// Algorithm 3). Any name works, '#' included: the suffix is always '#'
+// plus decimal digits, so "B#1" labels to "B#1#1" and UnlabelActivity,
+// which strips only the last '#', recovers it unambiguously.
+func LabelInstances(l *wlog.Log) *wlog.Log {
 	out := &wlog.Log{Executions: make([]wlog.Execution, len(l.Executions))}
 	for i, exec := range l.Executions {
 		counts := make(map[string]int)
 		steps := make([]wlog.Step, len(exec.Steps))
 		for j, s := range exec.Steps {
-			if strings.Contains(s.Activity, instanceSep) {
-				return nil, fmt.Errorf("core: activity name %q contains reserved separator %q", s.Activity, instanceSep)
-			}
 			counts[s.Activity]++
 			s.Activity = s.Activity + instanceSep + strconv.Itoa(counts[s.Activity])
 			steps[j] = s
 		}
 		out.Executions[i] = wlog.Execution{ID: exec.ID, Steps: steps}
 	}
-	return out, nil
+	return out
 }
 
 // UnlabelActivity strips the instance suffix from a labeled activity name:
-// "B#2" -> "B". Names without a suffix pass through unchanged.
+// "B#2" -> "B", "B#1#2" -> "B#1". Names without a suffix pass through
+// unchanged.
 func UnlabelActivity(labeled string) string {
 	if i := strings.LastIndex(labeled, instanceSep); i >= 0 {
 		return labeled[:i]

@@ -12,10 +12,7 @@ import (
 
 func TestLabelInstances(t *testing.T) {
 	l := wlog.LogFromStrings("ABCBCE")
-	labeled, err := LabelInstances(l)
-	if err != nil {
-		t.Fatalf("LabelInstances: %v", err)
-	}
+	labeled := LabelInstances(l)
 	got := labeled.Executions[0].Activities()
 	want := []string{"A#1", "B#1", "C#1", "B#2", "C#2", "E#1"}
 	if !reflect.DeepEqual(got, want) {
@@ -27,10 +24,22 @@ func TestLabelInstances(t *testing.T) {
 	}
 }
 
+// TestLabelInstancesRejectsSeparator is named for the reserved-separator
+// check LabelInstances used to make. '#' is no longer reserved, so it pins
+// that a name containing '#' labels to name#k and unlabels back to name.
 func TestLabelInstancesRejectsSeparator(t *testing.T) {
-	l := &wlog.Log{Executions: []wlog.Execution{wlog.FromSequence("x", "bad#name")}}
-	if _, err := LabelInstances(l); err == nil {
-		t.Fatal("LabelInstances accepted an activity name containing '#'")
+	l := &wlog.Log{Executions: []wlog.Execution{
+		wlog.FromSequence("x", "bad#name", "B#1", "x#", "B#1", "#"),
+	}}
+	got := LabelInstances(l).Executions[0].Activities()
+	want := []string{"bad#name#1", "B#1#1", "x##1", "B#1#2", "##1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("labeled = %v, want %v", got, want)
+	}
+	for i, a := range l.Executions[0].Activities() {
+		if back := UnlabelActivity(got[i]); back != a {
+			t.Errorf("UnlabelActivity(%q) = %q, want %q", got[i], back, a)
+		}
 	}
 }
 
@@ -74,11 +83,7 @@ func TestAlgorithm3Example8(t *testing.T) {
 	l := wlog.LogFromStrings("ABDCE", "ABDCBCE", "ABCBDCE", "ADE")
 
 	// Intermediate check on the labeled followings graph.
-	labeled, err := LabelInstances(l)
-	if err != nil {
-		t.Fatalf("LabelInstances: %v", err)
-	}
-	fg, err := FollowsGraph(labeled, Options{})
+	fg, err := FollowsGraph(LabelInstances(l), Options{})
 	if err != nil {
 		t.Fatalf("FollowsGraph: %v", err)
 	}

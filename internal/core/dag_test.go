@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"procmine/internal/graph"
@@ -342,9 +343,38 @@ func TestMarkRequiredEdgesCyclicFailsOnBothPaths(t *testing.T) {
 	}
 }
 
+// TestMineCyclicRejectsSeparator is named for the reserved-separator check
+// MineCyclic used to make. '#' is no longer reserved, so it pins that
+// renaming '#' to '_' in every activity name renames the mined model and
+// changes nothing else.
 func TestMineCyclicRejectsSeparator(t *testing.T) {
-	l := &wlog.Log{Executions: []wlog.Execution{wlog.FromSequence("x", "bad#name", "ok")}}
-	if _, err := MineCyclic(l, Options{}); err == nil {
-		t.Fatal("MineCyclic accepted '#' in an activity name")
+	rename := func(a string) string { return strings.ReplaceAll(a, "#", "_") }
+	hashed := &wlog.Log{Executions: []wlog.Execution{
+		wlog.FromSequence("x", "A", "bad#name", "x#", "bad#name", "#", "ok"),
+		wlog.FromSequence("y", "A", "#", "bad#name", "ok"),
+		wlog.FromSequence("z", "A", "x#", "ok"),
+	}}
+	plain := &wlog.Log{}
+	for _, exec := range hashed.Executions {
+		var acts []string
+		for _, a := range exec.Activities() {
+			acts = append(acts, rename(a))
+		}
+		plain.Executions = append(plain.Executions, wlog.FromSequence(exec.ID, acts...))
+	}
+	got, err := MineCyclic(hashed, Options{})
+	if err != nil {
+		t.Fatalf("MineCyclic with '#' names: %v", err)
+	}
+	want, err := MineCyclic(plain, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := graph.New()
+	for _, e := range got.Edges() {
+		renamed.AddEdge(rename(e.From), rename(e.To))
+	}
+	if got.NumVertices() != want.NumVertices() || !graph.EqualGraphs(renamed, want) {
+		t.Fatalf("'#' names mine a different model:\ngot:  %v\nwant: %v", edgeStrings(got), edgeStrings(want))
 	}
 }

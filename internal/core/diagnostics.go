@@ -45,128 +45,41 @@ func MineWithDiagnostics(l *wlog.Log, opt Options) (*graph.Digraph, *Diagnostics
 	return MineWithDiagnosticsContext(context.Background(), l, opt)
 }
 
-// MineWithDiagnosticsContext is MineWithDiagnostics under cancellation: ctx
-// is checked while scanning executions and by the marking pass, so tracing
-// a mine on a huge log can be abandoned promptly.
+// MineWithDiagnosticsContext is MineWithDiagnostics under cancellation and
+// limits. It runs the same pipeline as MineContext, so it mines the same
+// graph and fails with the same errors.
 func MineWithDiagnosticsContext(ctx context.Context, l *wlog.Log, opt Options) (*graph.Digraph, *Diagnostics, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, nil, err
-	}
-	diag := &Diagnostics{Executions: l.Len()}
-	tr := obs.NewTrace()
-
-	work := l
-	sp := tr.Start("label")
-	for _, e := range l.Executions {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		seen := map[string]bool{}
-		for _, s := range e.Steps {
-			if seen[s.Activity] {
-				diag.Labeled = true
-			}
-			seen[s.Activity] = true
-		}
-	}
-	if diag.Labeled {
-		labeled, err := LabelInstances(l)
-		if err != nil {
-			return nil, nil, err
-		}
-		work = labeled
-	}
-	sp.End()
-	diag.Activities = len(work.Activities())
-
-	// Materializing the columnar view here makes its cost its own stage
-	// instead of folding it into the scan's.
-	sp = tr.Start("columnar")
-	work.Columnar()
-	sp.End()
-
-	sp = tr.Start("scan")
-	//lint:ignore procmine/ctxleak scan workers are bounded CPU work; diagnostics mirror the mining pipeline's phase-boundary cancellation
-	pc := scanCountsTraced(work, tr)
-	sp.End()
-	diag.OrderedPairs = len(pc.order)
-
-	// Reconstruct the funnel stage by stage, reusing the pair counts
-	// already accumulated above instead of rescanning the log.
-	sp = tr.Start("threshold")
-	g, err := assembleFollowsGraph(work.Activities(), pc, opt)
+	diag := &Diagnostics{}
+	g, err := mine(ctx, l, opt, algorithmAuto, diag)
 	if err != nil {
 		return nil, nil, err
 	}
-	afterSteps13 := g.NumEdges()
-	// Edges that never made it: below threshold, 2-cycle, or overlap.
-	kept := map[graph.Edge]bool{}
-	for _, e := range g.Edges() {
-		kept[e] = true
-	}
-	for e, c := range pc.order {
-		if kept[e] {
-			continue
-		}
-		min := opt.MinSupport
-		if opt.AdaptiveEpsilon > 0 && opt.AdaptiveEpsilon < 0.5 {
-			key := e
-			if key.From > key.To {
-				key.From, key.To = key.To, key.From
-			}
-			if t, err := thresholdForPair(pc.cooc[key], opt.AdaptiveEpsilon); err == nil {
-				min = t
-			}
-		}
-		switch {
-		case c < min:
-			diag.BelowThreshold++
-		case pc.order[graph.Edge{From: e.To, To: e.From}] >= min && pc.order[graph.Edge{From: e.To, To: e.From}] > 0:
-			diag.TwoCycleRemoved++
-		default:
-			diag.OverlapRemoved++
-		}
-	}
-	sp.End()
-
-	sp = tr.Start("scc")
-	for _, c := range g.SCCs() {
-		if len(c) > 1 {
-			diag.SCCs = append(diag.SCCs, c)
-		}
-	}
-	diag.IntraSCCRemoved = g.RemoveIntraSCCEdges()
-	sp.End()
-	afterStep4 := g.NumEdges()
-	_ = afterSteps13
-
-	sp = tr.Start("mark")
-	marked, err := markRequired(ctx, g, work.Columnar())
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range g.Edges() {
-		if !marked[e] {
-			g.RemoveEdge(e.From, e.To)
-		}
-	}
-	sp.End()
-	diag.UnmarkedRemoved = afterStep4 - g.NumEdges()
-
-	sp = tr.Start("reduce")
-	if diag.Labeled {
-		g = MergeInstances(g)
-	}
-	sp.End()
-	diag.FinalEdges = g.NumEdges()
-	diag.Stages = tr.Stages()
 	return g, diag, nil
 }
 
-// thresholdForPair mirrors the adaptive rule without importing noise at the
-// call site twice; it simply delegates.
-func thresholdForPair(cooc int, eps float64) (int, error) {
-	return adaptiveThreshold(cooc, eps)
+// countPruned classifies the observed ordered pairs that steps 1-3 kept out
+// of g (the followings graph assembled from pc) as below threshold, 2-cycle
+// cancelled, or overlap cancelled.
+func (d *Diagnostics) countPruned(pc pairCounts, g *graph.Digraph, opt Options) error {
+	for e, c := range pc.order {
+		if g.HasEdge(e.From, e.To) {
+			continue
+		}
+		min, err := pc.threshold(e, opt)
+		if err != nil {
+			return err
+		}
+		rev := pc.order[graph.Edge{From: e.To, To: e.From}]
+		switch {
+		case c < min:
+			d.BelowThreshold++
+		case rev >= min && rev > 0:
+			d.TwoCycleRemoved++
+		default:
+			d.OverlapRemoved++
+		}
+	}
+	return nil
 }
 
 // WriteReport renders the stage funnel.

@@ -15,11 +15,12 @@ import (
 // fresh conformal graph can be materialized at any point without rescanning
 // past executions.
 //
-// The miner maintains the step-2 state incrementally — ordered-pair and
-// overlap support counts, the activity alphabet, and the set of distinct
-// activity-set signatures (what Algorithm 2's marking pass actually
-// consumes). Memory is O(n² + distinct signatures), independent of the
-// number of executions. Mine replays steps 3-7 on that state.
+// The miner maintains the step-2 state incrementally — ordered-pair,
+// overlap and co-occurrence support counts, the activity alphabet, and the
+// set of distinct activity-set signatures (what Algorithm 2's marking pass
+// actually consumes). Add counts each execution with the batch scan's own
+// followsCounts kernel. Memory is O(n² + distinct signatures), independent
+// of the number of executions. Mine replays steps 3-7 on that state.
 //
 // Every execution is stored in instance-labeled form (Algorithm 3), so
 // processes with cycles work transparently; for acyclic logs the labeled
@@ -29,13 +30,10 @@ import (
 // concurrent use.
 type IncrementalMiner struct {
 	activities map[string]bool
-	order      map[graph.Edge]int
-	overlap    map[graph.Edge]int
-	// cooc counts, per unordered pair (keyed From < To), the executions in
-	// which both activities appear — the m of the per-pair Section 6
-	// balance rule, so Mine can apply Options.AdaptiveEpsilon exactly as
-	// the batch path does.
-	cooc map[graph.Edge]int
+	// pc holds the step-2 counts over the labeled activities, in the batch
+	// scan's form, so Mine thresholds them (Options.AdaptiveEpsilon
+	// included) exactly as the batch path does.
+	pc pairCounts
 	// sigs maps an activity-set signature to the sorted labeled activity
 	// set; the marking pass needs each distinct set once.
 	sigs map[string][]string
@@ -54,9 +52,7 @@ func NewIncrementalMiner() *IncrementalMiner {
 func (im *IncrementalMiner) init() {
 	if im.activities == nil {
 		im.activities = make(map[string]bool)
-		im.order = make(map[graph.Edge]int)
-		im.overlap = make(map[graph.Edge]int)
-		im.cooc = make(map[graph.Edge]int)
+		im.pc = newPairCounts()
 		im.sigs = make(map[string][]string)
 	}
 }
@@ -78,15 +74,17 @@ func (im *IncrementalMiner) Activities() []string {
 	return out
 }
 
-// Add incorporates one completed execution. Activity names must not contain
-// the '#' instance separator.
+// Add incorporates one completed execution. Any activity name is accepted,
+// '#' included, so the error is always nil.
 func (im *IncrementalMiner) Add(exec wlog.Execution) error {
 	im.init()
-	ll, err := LabelInstances(&wlog.Log{Executions: []wlog.Execution{exec}})
-	if err != nil {
-		return err
+	labeled := LabelInstances(&wlog.Log{Executions: []wlog.Execution{exec}})
+	set := im.pc.addExecution(labeled.Executions[0])
+	for _, a := range set {
+		im.activities[a] = true
 	}
-	im.addLabeled(ll.Executions[0])
+	im.sigs[signature(set)] = set
+	im.executions++
 	return nil
 }
 
@@ -98,53 +96,6 @@ func (im *IncrementalMiner) AddLog(l *wlog.Log) error {
 		}
 	}
 	return nil
-}
-
-func (im *IncrementalMiner) addLabeled(exec wlog.Execution) {
-	im.executions++
-	steps := exec.Steps
-	seenOrder := map[graph.Edge]bool{}
-	seenOverlap := map[graph.Edge]bool{}
-	acts := map[string]bool{}
-	for i := range steps {
-		acts[steps[i].Activity] = true
-		im.activities[steps[i].Activity] = true
-		for j := range steps {
-			if i == j || steps[i].Activity == steps[j].Activity {
-				continue
-			}
-			switch {
-			case steps[i].Before(steps[j]):
-				e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-				if !seenOrder[e] {
-					seenOrder[e] = true
-					im.order[e]++
-				}
-			case i < j && steps[i].Overlaps(steps[j]):
-				e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
-				if e.From > e.To {
-					e.From, e.To = e.To, e.From
-				}
-				if !seenOverlap[e] {
-					seenOverlap[e] = true
-					im.overlap[e]++
-				}
-			}
-		}
-	}
-	set := make([]string, 0, len(acts))
-	for a := range acts {
-		set = append(set, a)
-	}
-	sort.Strings(set)
-	// Per-pair co-occurrence: set is sorted, so From < To matches the
-	// batch scan's unordered keying.
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			im.cooc[graph.Edge{From: set[i], To: set[j]}]++
-		}
-	}
-	im.sigs[signature(set)] = set
 }
 
 // Mine materializes a conformal graph from the accumulated state: steps 3-5

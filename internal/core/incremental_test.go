@@ -103,10 +103,33 @@ func TestIncrementalAddLogAndActivities(t *testing.T) {
 	}
 }
 
+// TestIncrementalRejectsSeparator is named for the reserved-separator
+// check Add used to make. '#' is no longer reserved, so it pins that Add
+// accepts names containing '#' and mines the same model as MineCyclic.
 func TestIncrementalRejectsSeparator(t *testing.T) {
+	l := &wlog.Log{Executions: []wlog.Execution{
+		wlog.FromSequence("x", "A", "bad#name", "x#", "bad#name", "#", "C"),
+		wlog.FromSequence("y", "A", "#", "bad#name", "C"),
+	}}
 	im := NewIncrementalMiner()
-	if err := im.Add(wlog.FromSequence("x", "bad#name")); err == nil {
-		t.Fatal("activity with '#' accepted")
+	for _, exec := range l.Executions {
+		if err := im.Add(exec); err != nil {
+			t.Fatalf("Add(%s): %v", exec.ID, err)
+		}
+	}
+	batch, err := MineCyclic(l, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := im.Mine(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graph.EqualGraphs(batch, inc) {
+		t.Fatalf("incremental differs:\nbatch: %v\ninc:   %v", batch, inc)
+	}
+	if !inc.HasVertex("bad#name") || !inc.HasVertex("#") {
+		t.Fatalf("model lost a '#' activity: %v", inc)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"procmine/internal/graph"
 	"procmine/internal/synth"
 	"procmine/internal/wlog"
 )
@@ -51,14 +52,86 @@ func overlapLog(m int) *wlog.Log {
 	return l
 }
 
-// parallelCounts runs the dense sharded scan at a forced worker count and
-// converts the merged matrices, mirroring the production parallel path.
-func parallelCounts(l *wlog.Log, workers int) pairCounts {
-	col := l.Columnar()
-	cs := scanShards(col, workers, nil)
-	pc := countsToPairs(col, cs)
-	col.ReleaseCounts(cs)
+// followsCountsMap is the hash-map oracle for the step-2 scan: a direct
+// transcription of the pair rules over Step.Before and Step.Overlaps,
+// sharing no code with the followsCounts kernel it checks.
+func followsCountsMap(l *wlog.Log) pairCounts {
+	pc := newPairCounts()
+	for _, exec := range l.Executions {
+		seenOrder := make(map[graph.Edge]bool)
+		seenOverlap := make(map[graph.Edge]bool)
+		acts := exec.ActivitySet()
+		for i := 0; i < len(acts); i++ {
+			for j := i + 1; j < len(acts); j++ {
+				pc.cooc[graph.Edge{From: acts[i], To: acts[j]}]++
+			}
+		}
+		steps := exec.Steps
+		for i := range steps {
+			for j := range steps {
+				if i == j || steps[i].Activity == steps[j].Activity {
+					continue
+				}
+				switch {
+				case steps[i].Before(steps[j]):
+					e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
+					if !seenOrder[e] {
+						seenOrder[e] = true
+						pc.order[e]++
+					}
+				case i < j && steps[i].Overlaps(steps[j]):
+					e := graph.Edge{From: steps[i].Activity, To: steps[j].Activity}
+					if e.From > e.To {
+						e.From, e.To = e.To, e.From
+					}
+					if !seenOverlap[e] {
+						seenOverlap[e] = true
+						pc.overlap[e]++
+					}
+				}
+			}
+		}
+	}
 	return pc
+}
+
+// parallelCounts runs the dense sharded scan at a forced worker count,
+// mirroring the production parallel path.
+func parallelCounts(l *wlog.Log, workers int) pairCounts {
+	return scanWith(l, workers, nil)
+}
+
+// requireCounts fails unless got equals want in all three count families.
+func requireCounts(t *testing.T, name string, got, want pairCounts) {
+	t.Helper()
+	if !reflect.DeepEqual(got.order, want.order) {
+		t.Fatalf("%s: order counts differ from oracle", name)
+	}
+	if !reflect.DeepEqual(got.overlap, want.overlap) {
+		t.Fatalf("%s: overlap counts differ from oracle", name)
+	}
+	if !reflect.DeepEqual(got.cooc, want.cooc) {
+		t.Fatalf("%s: cooc counts differ from oracle", name)
+	}
+}
+
+// wideLog builds m executions over an alphabet of more than
+// denseAlphabetMax activities: execution i walks a window of ten
+// activities, repeats its third one at the end, and stretches its fourth
+// step over the fifth, so order, overlap and repeated-activity pairs all
+// occur.
+func wideLog(m int) *wlog.Log {
+	l := &wlog.Log{}
+	for i := 0; i < m; i++ {
+		names := make([]string, 10, 11)
+		for j := range names {
+			names[j] = "act" + itoa((i*9+j)%(denseAlphabetMax+60))
+		}
+		exec := wlog.FromSequence("w"+itoa(i), append(names, names[2])...)
+		exec.Steps[3].End = exec.Steps[4].End
+		l.Executions = append(l.Executions, exec)
+	}
+	return l
 }
 
 func TestScanWorkersGates(t *testing.T) {
@@ -70,7 +143,7 @@ func TestScanWorkersGates(t *testing.T) {
 			{m: 640, n: 10, want: 8},   // full GOMAXPROCS fan-out
 			{m: 100, n: 10, want: 3},   // capped by scanShardMin per shard
 			{m: 640, n: 1500, want: 1}, // dense-memory gap: sequential dense
-			{m: 640, n: 3000, want: 8}, // past denseAlphabetMax: map shards
+			{m: 640, n: 3000, want: 1}, // past denseAlphabetMax: per-execution scan
 			{m: 63, n: 10, want: 1},    // one full shard is not sharding
 			{m: 64, n: 10, want: 2},    // exactly two shards
 		}
@@ -142,41 +215,33 @@ func TestFollowsCountsParallelMatchesOracle(t *testing.T) {
 	for name, l := range logs {
 		oracle := followsCountsMap(l)
 		for _, workers := range []int{2, 3, 5, 8} {
-			got := parallelCounts(l, workers)
-			if !reflect.DeepEqual(got.order, oracle.order) {
-				t.Fatalf("%s/w=%d: order counts differ from oracle", name, workers)
-			}
-			if !reflect.DeepEqual(got.overlap, oracle.overlap) {
-				t.Fatalf("%s/w=%d: overlap counts differ from oracle", name, workers)
-			}
-			if !reflect.DeepEqual(got.cooc, oracle.cooc) {
-				t.Fatalf("%s/w=%d: cooc counts differ from oracle", name, workers)
-			}
+			requireCounts(t, name+"/w="+itoa(workers), parallelCounts(l, workers), oracle)
 		}
 	}
 }
 
-// TestFollowsCountsParallelMapShards forces the map-accumulator shard arm
-// (alphabet past parallelDenseAlphabetMax) and checks it against the oracle.
-func TestFollowsCountsParallelMapShards(t *testing.T) {
-	// 128 executions over a >1024-activity alphabet: each execution walks a
-	// distinct window of ten activities.
-	l := &wlog.Log{}
-	for i := 0; i < 128; i++ {
-		names := make([]string, 10)
-		for j := range names {
-			names[j] = "act" + itoa((i*9+j)%1100)
-		}
-		l.Executions = append(l.Executions, wlog.FromSequence("w"+itoa(i), names...))
-	}
-	if n := len(l.Activities()); n <= parallelDenseAlphabetMax {
-		t.Fatalf("fixture alphabet %d does not exceed parallelDenseAlphabetMax", n)
+// TestWideAlphabetCountsMatchOracle checks the per-execution scan that
+// alphabets past denseAlphabetMax take — in the batch scan and in
+// IncrementalMiner.Add, which runs every execution through it — against
+// the map oracle, on a log with overlapping and repeated steps.
+func TestWideAlphabetCountsMatchOracle(t *testing.T) {
+	l := wideLog(240)
+	if n := len(l.Activities()); n <= denseAlphabetMax {
+		t.Fatalf("fixture alphabet %d does not exceed denseAlphabetMax", n)
 	}
 	oracle := followsCountsMap(l)
-	got := followsCountsMapParallel(l, 4)
-	if !reflect.DeepEqual(got.order, oracle.order) || !reflect.DeepEqual(got.cooc, oracle.cooc) {
-		t.Fatal("map-sharded parallel scan differs from oracle")
+	if len(oracle.overlap) == 0 {
+		t.Fatal("fixture has no overlapping steps")
 	}
+	requireCounts(t, "scanCounts", scanCounts(l), oracle)
+
+	labeled := LabelInstances(l)
+	requireCounts(t, "scanCounts(labeled)", scanCounts(labeled), followsCountsMap(labeled))
+	im := NewIncrementalMiner()
+	if err := im.AddLog(l); err != nil {
+		t.Fatal(err)
+	}
+	requireCounts(t, "IncrementalMiner", im.pc, followsCountsMap(labeled))
 }
 
 // TestFollowsCountsParallelDeterministic re-runs the sharded scan and
@@ -198,16 +263,43 @@ func TestFollowsCountsParallelDeterministic(t *testing.T) {
 
 // TestFollowsCountsParallelPublicAPI pins the exported ablation helpers:
 // any worker count (including degenerate ones) must reproduce the
-// sequential counts exactly.
+// sequential counts exactly, and past parallelDenseAlphabetMax — in the
+// dense gap and past denseAlphabetMax — every request runs, and is
+// reported as, one worker.
 func TestFollowsCountsParallelPublicAPI(t *testing.T) {
 	l := scanLog(t, 12, 150)
 	seq := FollowsCountsSequential(l)
-	if oracle := FollowsCountsMap(l); !reflect.DeepEqual(seq, oracle) {
+	if oracle := followsCountsMap(l).order; !reflect.DeepEqual(seq, oracle) {
 		t.Fatal("sequential production scan differs from map oracle")
 	}
 	for _, workers := range []int{0, 1, 2, 7, 10000} {
 		if got := FollowsCountsParallel(l, workers); !reflect.DeepEqual(got, seq) {
 			t.Fatalf("FollowsCountsParallel(workers=%d) differs from sequential", workers)
+		}
+	}
+	if got := ScanWorkersUsed(l, 4); got != 4 {
+		t.Fatalf("ScanWorkersUsed(narrow, 4) = %d, want 4", got)
+	}
+
+	// 128 executions, each a window of ten activities out of 1100.
+	gap := &wlog.Log{}
+	for i := 0; i < 128; i++ {
+		names := make([]string, 10)
+		for j := range names {
+			names[j] = "act" + itoa((i*9+j)%1100)
+		}
+		gap.Executions = append(gap.Executions, wlog.FromSequence("g"+itoa(i), names...))
+	}
+	for name, wide := range map[string]*wlog.Log{"gap": gap, "wide": wideLog(240)} {
+		if n := len(wide.Activities()); n <= parallelDenseAlphabetMax {
+			t.Fatalf("%s: fixture alphabet %d does not exceed parallelDenseAlphabetMax", name, n)
+		}
+		if got := ScanWorkersUsed(wide, 4); got != 1 {
+			t.Errorf("%s: ScanWorkersUsed(4) = %d, want 1", name, got)
+		}
+		want := followsCountsMap(wide).order
+		if got := FollowsCountsParallel(wide, 4); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: FollowsCountsParallel(4) differs from the map oracle", name)
 		}
 	}
 }

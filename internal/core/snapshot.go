@@ -81,9 +81,9 @@ func (im *IncrementalMiner) Snapshot() *MinerSnapshot {
 		Schema:     MinerSnapshotSchema,
 		Executions: im.executions,
 		Activities: make([]string, 0, len(im.activities)),
-		Order:      pairCountsOf(im.order),
-		Overlap:    pairCountsOf(im.overlap),
-		Cooc:       pairCountsOf(im.cooc),
+		Order:      pairCountsOf(im.pc.order),
+		Overlap:    pairCountsOf(im.pc.overlap),
+		Cooc:       pairCountsOf(im.pc.cooc),
 		Sigs:       make([][]string, 0, len(im.sigs)),
 	}
 	for a := range im.activities {
@@ -144,13 +144,13 @@ func (im *IncrementalMiner) RestoreSnapshot(s *MinerSnapshot) error {
 		im.activities[a] = true
 	}
 	for _, pc := range s.Order {
-		im.order[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
+		im.pc.order[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
 	}
 	for _, pc := range s.Overlap {
-		im.overlap[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
+		im.pc.overlap[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
 	}
 	for _, pc := range s.Cooc {
-		im.cooc[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
+		im.pc.cooc[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
 	}
 	for _, set := range s.Sigs {
 		cp := make([]string, len(set))
@@ -207,8 +207,7 @@ func (im *IncrementalMiner) MineTracedContext(ctx context.Context, opt Options, 
 		acts = append(acts, a)
 	}
 	sort.Strings(acts)
-	pc := pairCounts{order: im.order, overlap: im.overlap, cooc: im.cooc}
-	g, err := assembleFollowsGraph(acts, pc, opt)
+	g, err := assembleFollowsGraph(acts, im.pc, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -127,10 +127,7 @@ func example7(w io.Writer) error {
 func example8(w io.Writer) error {
 	fmt.Fprintln(w, "=== Example 8 (Algorithm 3, Figure 6): log {ABDCE, ABDCBCE, ABCBDCE, ADE}")
 	l := wlog.LogFromStrings("ABDCE", "ABDCBCE", "ABCBDCE", "ADE")
-	labeled, err := core.LabelInstances(l)
-	if err != nil {
-		return err
-	}
+	labeled := core.LabelInstances(l)
 	lf, err := core.FollowsGraph(labeled, core.Options{})
 	if err != nil {
 		return err

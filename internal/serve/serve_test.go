@@ -127,6 +127,50 @@ func TestShardedIngestMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestHashActivityNamesParity pins that any activity name mines, '#' (the
+// instance-label separator) included: a log whose names are "B#1" (also
+// repeated within an execution), "x#" and "#" gives byte-identical DOT
+// from MineCyclic, from an IncrementalMiner, and from a Skip-policy
+// /ingest in which every shard applies its batch.
+func TestHashActivityNamesParity(t *testing.T) {
+	l := &wlog.Log{Executions: []wlog.Execution{
+		wlog.FromSequence("h1", "A", "B#1", "x#", "B#1", "#", "C"),
+		wlog.FromSequence("h2", "A", "x#", "B#1", "#", "C"),
+		wlog.FromSequence("h3", "A", "B#1", "#", "B#1", "x#", "C"),
+		wlog.FromSequence("h4", "A", "#", "C"),
+	}}
+	cyclic, err := core.MineCyclic(l, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cyclic.Dot("procmined")
+	for _, name := range []string{`"B#1"`, `"x#"`, `"#"`} {
+		if !strings.Contains(want, name) {
+			t.Fatalf("MineCyclic model lacks vertex %s:\n%s", name, want)
+		}
+	}
+	if got := batchDot(t, l, core.Options{}); got != want {
+		t.Errorf("IncrementalMiner model diverges from MineCyclic\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	s, err := New(Config{Shards: 3, Ingest: wlog.IngestOptions{Policy: wlog.Skip}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := ingestText(t, s, textOf(t, l), http.StatusOK)
+	if resp.Status != "ok" {
+		t.Errorf("ingest status %q, want ok", resp.Status)
+	}
+	for _, sr := range resp.Shards {
+		if !sr.Applied {
+			t.Errorf("shard %d did not apply its batch: %+v", sr.Shard, sr)
+		}
+	}
+	if got := modelDot(t, s); got != want {
+		t.Errorf("served model diverges from MineCyclic\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestModelJSONAndSingleShard checks the JSON model rendering and the
 // per-shard scope.
 func TestModelJSONAndSingleShard(t *testing.T) {

@@ -158,10 +158,7 @@ var (
 // the algorithm automatically: Algorithm 3 when any execution contains a
 // repeated activity (the process has cycles), Algorithm 2 otherwise.
 func Mine(l *Log, opt Options) (*Graph, error) {
-	if hasRepeats(l) {
-		return core.MineCyclic(l, opt)
-	}
-	return core.MineGeneralDAG(l, opt)
+	return core.MineContext(context.Background(), l, opt)
 }
 
 // MineContext is Mine with cancellation and resource limits: ctx is checked
@@ -191,20 +188,6 @@ func MineDAG(l *Log, opt Options) (*Graph, error) {
 // instances are labeled apart, mined, and merged back.
 func MineCyclic(l *Log, opt Options) (*Graph, error) {
 	return core.MineCyclic(l, opt)
-}
-
-// hasRepeats reports whether any execution contains an activity twice.
-func hasRepeats(l *Log) bool {
-	for _, e := range l.Executions {
-		seen := make(map[string]bool, len(e.Steps))
-		for _, s := range e.Steps {
-			if seen[s.Activity] {
-				return true
-			}
-			seen[s.Activity] = true
-		}
-	}
-	return false
 }
 
 // Consistent checks Definition 6: whether one execution is consistent with a
