@@ -12,10 +12,13 @@ import (
 //	A -> B C
 //	B ->
 //
-// Blank lines and lines starting with '#' are skipped. A vertex may appear
-// only on the right-hand side; it is created on first mention. The format
-// round-trips with WriteAdjacency and is the interchange format for
-// `procmine -compare`.
+// Blank lines are skipped. A line starting with '#' is a comment unless the
+// text before its first "->" is a single token, so "# A -> B" and
+// "# mined graph" are comments while "#x -> A" and "# ->" name vertices
+// "#x" and "#". A vertex may appear only on the right-hand side; it is
+// created on first mention. The format round-trips with WriteAdjacency,
+// except for vertex names that contain whitespace or "->", and is the
+// interchange format for `procmine -compare`.
 func ReadAdjacency(r io.Reader) (*Digraph, error) {
 	g := New()
 	sc := bufio.NewScanner(r)
@@ -24,10 +27,11 @@ func ReadAdjacency(r io.Reader) (*Digraph, error) {
 	for sc.Scan() {
 		lineno++
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		idx := strings.Index(line, "->")
+		comment := strings.HasPrefix(line, "#") && (idx < 0 || strings.ContainsAny(strings.TrimSpace(line[:idx]), " \t"))
+		if line == "" || comment {
 			continue
 		}
-		idx := strings.Index(line, "->")
 		if idx < 0 {
 			return nil, fmt.Errorf("graph: line %d: missing '->': %q", lineno, line)
 		}

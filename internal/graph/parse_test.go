@@ -50,8 +50,19 @@ func TestReadAdjacencyErrors(t *testing.T) {
 
 func TestAdjacencyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 30; i++ {
-		g := randomDAG(rng, 2+rng.Intn(10), 0.4)
+	graphs := make([]*Digraph, 30)
+	for i := range graphs {
+		graphs[i] = randomDAG(rng, 2+rng.Intn(10), 0.4)
+	}
+	// Names starting with '#' are vertices, not comments.
+	hashes := New()
+	hashes.AddEdge("#", "#x")
+	hashes.AddEdge("#x", "x#")
+	hashes.AddEdge("x#", "#")
+	hashes.AddEdge("A", "#")
+	hashes.AddVertex("#lonely")
+	graphs = append(graphs, hashes)
+	for _, g := range graphs {
 		got, err := ReadAdjacency(strings.NewReader(g.Adjacency()))
 		if err != nil {
 			t.Fatalf("round trip parse: %v", err)

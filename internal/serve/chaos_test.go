@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"procmine/internal/core"
 	"procmine/internal/noise"
 	"procmine/internal/wlog"
 )
@@ -48,11 +49,29 @@ func filePipelineTotals(t *testing.T, text string, opts wlog.IngestOptions) Repo
 	return totalsOf(rep)
 }
 
+// batchPipeline runs the corrupted trail through the batch reader's text
+// path — ReadTextWith, then AssembleWith, sharing one report — and returns
+// the assembled log and the projected report.
+func batchPipeline(t *testing.T, text string, opts wlog.IngestOptions) (*wlog.Log, ReportTotals) {
+	t.Helper()
+	rep := wlog.NewIngestReport(opts)
+	events, _, err := wlog.ReadTextWith(strings.NewReader(text), opts, rep)
+	if err != nil {
+		t.Fatalf("batch decode: %v", err)
+	}
+	l, _, err := wlog.AssembleWith(events, opts, rep)
+	if err != nil {
+		t.Fatalf("batch assemble: %v", err)
+	}
+	return l, totalsOf(rep)
+}
+
 // TestChaosIngestParity pins the accounting contract of the HTTP path: a
 // corrupted trail pushed through /ingest and /admin/drain yields an
 // aggregate report (decode intake + per-shard streams) identical to the
 // single report the file-based pipeline produces over the same bytes —
-// under both lenient policies, across shard counts.
+// under both lenient policies, across shard counts. The batch reader's text
+// path must agree on the report and mine the model /model serves.
 func TestChaosIngestParity(t *testing.T) {
 	l := serveLog(40)
 	for _, policy := range []wlog.Policy{wlog.Skip, wlog.Quarantine} {
@@ -60,6 +79,11 @@ func TestChaosIngestParity(t *testing.T) {
 			text := corruptTrail(t, l, 42)
 			opts := wlog.IngestOptions{Policy: policy}
 			want := filePipelineTotals(t, text, opts)
+			batchLog, batchTotals := batchPipeline(t, text, opts)
+			if !reflect.DeepEqual(batchTotals, want) {
+				t.Errorf("policy=%v: batch report diverges from file pipeline\ngot:  %+v\nwant: %+v",
+					policy, batchTotals, want)
+			}
 
 			s, err := New(Config{Shards: shards, Ingest: opts})
 			if err != nil {
@@ -82,6 +106,10 @@ func TestChaosIngestParity(t *testing.T) {
 			if !reflect.DeepEqual(dr.Report, want) {
 				t.Errorf("policy=%v shards=%d: aggregate report diverges from file pipeline\ngot:  %+v\nwant: %+v",
 					policy, shards, dr.Report, want)
+			}
+			if got, want := modelDot(t, s), batchDot(t, batchLog, core.Options{}); got != want {
+				t.Errorf("policy=%v shards=%d: served model diverges from batch mine\ngot:\n%s\nwant:\n%s",
+					policy, shards, got, want)
 			}
 		}
 	}

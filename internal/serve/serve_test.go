@@ -333,6 +333,29 @@ func TestBackpressure429(t *testing.T) {
 	ingestText(t, s, startLine(full[2], 7000), http.StatusOK)
 }
 
+// TestStrayEndsHoldNoBudget checks that END records for unseen executions
+// open nothing under Skip: after they are skipped and the shard drained,
+// the open-execution budget admits new work and /stats shows nothing open.
+func TestStrayEndsHoldNoBudget(t *testing.T) {
+	s, err := New(Config{Shards: 1, MaxOpenPerShard: 2, Ingest: wlog.IngestOptions{Policy: wlog.Skip}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestText(t, s, "g1 Z END 5\ng2 Z END 6\n", http.StatusOK)
+	if rec := do(t, s, http.MethodPost, "/admin/drain", "", ""); rec.Code != http.StatusOK {
+		t.Fatalf("drain = %d: %s", rec.Code, rec.Body.String())
+	}
+	ingestText(t, s, "p1 A START 1\np1 A END 2\n", http.StatusOK)
+	rec := do(t, s, http.MethodGet, "/stats", "", "")
+	var st StatsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Open != 0 {
+		t.Errorf("/stats open = %d, want 0", st.Open)
+	}
+}
+
 // TestGracefulShutdown checks the drain sequence: new work gets 503, the
 // model stays readable until the end, in-flight work completes, and
 // shutdown checkpoints every shard.

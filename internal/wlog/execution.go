@@ -222,57 +222,10 @@ func LogFromStrings(seqs ...string) *Log {
 	return l
 }
 
-// Assemble groups raw event records into executions: records are bucketed by
-// ProcessID, sorted by time, and each END event is paired with the earliest
-// unmatched START of the same activity (FIFO pairing, which is exact for
-// non-overlapping instances of the same activity and a standard convention
-// otherwise). Steps are then ordered by start time.
-//
-// It returns an error when an END has no matching START, or a START never
-// terminates.
+// Assemble groups raw event records into executions: it is AssembleWith
+// under FailFast, so it returns an error when an END has no matching START
+// or a START never terminates.
 func Assemble(events []Event) (*Log, error) {
-	byProc := map[string][]Event{}
-	var order []string
-	for _, ev := range events {
-		if _, seen := byProc[ev.ProcessID]; !seen {
-			order = append(order, ev.ProcessID)
-		}
-		byProc[ev.ProcessID] = append(byProc[ev.ProcessID], ev)
-	}
-	sort.Strings(order)
-
-	log := &Log{}
-	for _, pid := range order {
-		evs := byProc[pid]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
-		// open[activity] holds indices into steps of not-yet-ended instances.
-		open := map[string][]int{}
-		var steps []Step
-		for _, ev := range evs {
-			switch ev.Type {
-			case Start:
-				open[ev.Activity] = append(open[ev.Activity], len(steps))
-				steps = append(steps, Step{Activity: ev.Activity, Start: ev.Time})
-			case End:
-				q := open[ev.Activity]
-				if len(q) == 0 {
-					return nil, fmt.Errorf("wlog: execution %q: END of %q at %v without a START", pid, ev.Activity, ev.Time)
-				}
-				idx := q[0]
-				open[ev.Activity] = q[1:]
-				steps[idx].End = ev.Time
-				steps[idx].Output = ev.Output.Clone()
-			default:
-				return nil, fmt.Errorf("wlog: execution %q: invalid event type %v", pid, ev.Type)
-			}
-		}
-		for a, q := range open {
-			if len(q) > 0 {
-				return nil, fmt.Errorf("wlog: execution %q: activity %q started but never ended", pid, a)
-			}
-		}
-		sort.SliceStable(steps, func(i, j int) bool { return steps[i].Start.Before(steps[j].Start) })
-		log.Executions = append(log.Executions, Execution{ID: pid, Steps: steps})
-	}
-	return log, nil
+	l, _, err := AssembleWith(events, IngestOptions{}, nil)
+	return l, err
 }

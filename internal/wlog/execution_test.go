@@ -2,6 +2,7 @@ package wlog
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -146,6 +147,28 @@ func TestAssembleStartWithoutEnd(t *testing.T) {
 	evs := []Event{{ProcessID: "p", Activity: "A", Type: Start, Time: time.Unix(1, 0)}}
 	if _, err := Assemble(evs); err == nil {
 		t.Fatal("Assemble accepted START without END")
+	}
+
+	// Three unterminated activities in one execution: the error is the same
+	// on every call and names the execution and all three, sorted.
+	evs = []Event{
+		{ProcessID: "p", Activity: "C", Type: Start, Time: time.Unix(1, 0)},
+		{ProcessID: "p", Activity: "A", Type: Start, Time: time.Unix(2, 0)},
+		{ProcessID: "p", Activity: "B", Type: Start, Time: time.Unix(3, 0)},
+	}
+	_, first := Assemble(evs)
+	if first == nil {
+		t.Fatal("Assemble accepted three unterminated STARTs")
+	}
+	msg := first.Error()
+	ip, ia, ib, ic := strings.Index(msg, `"p"`), strings.Index(msg, `"A"`), strings.Index(msg, `"B"`), strings.Index(msg, `"C"`)
+	if ip < 0 || ia < 0 || ib < 0 || ic < 0 || !(ip < ia && ia < ib && ib < ic) {
+		t.Errorf("error %q does not name execution p and activities A, B, C in order", msg)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := Assemble(evs); err == nil || err.Error() != msg {
+			t.Fatalf("call %d: error %v, want %q", i, err, msg)
+		}
 	}
 }
 

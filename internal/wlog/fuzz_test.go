@@ -40,29 +40,66 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
+// watermarks returns the options for one fuzzed policy and watermark mode
+// byte: bit 0 sets MaxOpenExecutions to 2, bit 1 MaxStepsPerExecution to 3.
+func watermarks(policy Policy, mode uint8) IngestOptions {
+	opts := IngestOptions{Policy: policy}
+	if mode&1 != 0 {
+		opts.MaxOpenExecutions = 2
+	}
+	if mode&2 != 0 {
+		opts.MaxStepsPerExecution = 3
+	}
+	return opts
+}
+
+// checkExecutions fails the test unless execs are well formed under opts:
+// unique IDs, no empty execution, steps sorted by Start, no End before its
+// Start, and no more steps than MaxStepsPerExecution.
+func checkExecutions(t *testing.T, opts IngestOptions, execs []Execution) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, e := range execs {
+		if seen[e.ID] {
+			t.Fatalf("policy %v produced execution %q twice", opts.Policy, e.ID)
+		}
+		seen[e.ID] = true
+		if len(e.Steps) == 0 {
+			t.Fatalf("policy %v produced empty execution %q", opts.Policy, e.ID)
+		}
+		for i, st := range e.Steps {
+			if st.End.Before(st.Start) {
+				t.Fatalf("policy %v produced step %s ending before it starts", opts.Policy, st.Activity)
+			}
+			if i > 0 && st.Start.Before(e.Steps[i-1].Start) {
+				t.Fatalf("policy %v produced execution %q with steps out of start order", opts.Policy, e.ID)
+			}
+		}
+		if opts.MaxStepsPerExecution > 0 && len(e.Steps) > opts.MaxStepsPerExecution {
+			t.Fatalf("policy %v produced %d steps, watermark %d",
+				opts.Policy, len(e.Steps), opts.MaxStepsPerExecution)
+		}
+	}
+}
+
 // FuzzExecutionStreamPush pushes arbitrary (often structurally broken) event
 // sequences through an ExecutionStream under every recovery policy and with
 // tight resource watermarks. Nothing may panic; with an unlimited error
-// budget the lenient policies may never surface an error; and everything
-// emitted must be a well-formed execution.
+// budget the lenient policies may never surface an error and Close leaves
+// nothing open; and everything emitted must be a well-formed execution.
 func FuzzExecutionStreamPush(f *testing.F) {
 	f.Add("p A START 1\np A END 2\n", uint8(0))
 	f.Add("p A END 1\np A START 2\n", uint8(1))
 	f.Add("p A START 1\nq B START 2\nr C START 3\ns D START 4\n", uint8(2))
 	f.Add("p A START 1\np A START 2\np A START 3\np A END 4\n", uint8(1))
+	f.Add("p A END 1\n", uint8(0))
 	f.Fuzz(func(t *testing.T, input string, mode uint8) {
 		events, err := ReadText(strings.NewReader(input))
 		if err != nil {
 			return
 		}
 		for _, policy := range []Policy{FailFast, Skip, Quarantine} {
-			opts := IngestOptions{Policy: policy}
-			if mode&1 != 0 {
-				opts.MaxOpenExecutions = 2
-			}
-			if mode&2 != 0 {
-				opts.MaxStepsPerExecution = 3
-			}
+			opts := watermarks(policy, mode)
 			var emitted []Execution
 			s := NewExecutionStreamWith(opts, nil, func(e Execution) error {
 				emitted = append(emitted, e)
@@ -78,53 +115,50 @@ func FuzzExecutionStreamPush(f *testing.F) {
 			if streamErr == nil {
 				streamErr = s.Close()
 			}
-			if streamErr != nil && opts.Policy != FailFast {
+			if opts.Policy != FailFast {
 				// Lenient policies with MaxErrors unlimited absorb every
 				// structural fault instead of propagating it.
-				t.Fatalf("policy %v returned %v", policy, streamErr)
-			}
-			seen := map[string]bool{}
-			for _, e := range emitted {
-				if seen[e.ID] {
-					t.Fatalf("policy %v emitted execution %q twice", policy, e.ID)
+				if streamErr != nil {
+					t.Fatalf("policy %v returned %v", policy, streamErr)
 				}
-				seen[e.ID] = true
-				if len(e.Steps) == 0 {
-					t.Fatalf("policy %v emitted empty execution %q", policy, e.ID)
-				}
-				for _, st := range e.Steps {
-					if st.End.Before(st.Start) {
-						t.Fatalf("policy %v emitted step %s ending before it starts", policy, st.Activity)
-					}
-				}
-				if opts.MaxStepsPerExecution > 0 && len(e.Steps) > opts.MaxStepsPerExecution {
-					t.Fatalf("policy %v emitted %d steps, watermark %d",
-						policy, len(e.Steps), opts.MaxStepsPerExecution)
+				if n := s.OpenExecutions(); n != 0 {
+					t.Fatalf("policy %v left %d executions open after Close", policy, n)
 				}
 			}
+			checkExecutions(t, opts, emitted)
 		}
 	})
 }
 
-// FuzzAssemble checks that assembling arbitrary decoded event streams never
-// panics and that successful assemblies validate.
+// FuzzAssemble assembles arbitrary decoded event streams under every
+// recovery policy and watermark mode. Nothing may panic; with an unlimited
+// error budget the lenient policies never error; and every assembled log
+// holds well-formed executions.
 func FuzzAssemble(f *testing.F) {
-	f.Add("p A START 1\np A END 2\n")
-	f.Add("p A START 1\np B START 2\np A END 3\np B END 4\n")
-	f.Add("p A END 1\n")
-	f.Fuzz(func(t *testing.T, input string) {
+	f.Add("p A START 1\np A END 2\n", uint8(0))
+	f.Add("p A START 1\np B START 2\np A END 3\np B END 4\n", uint8(2))
+	f.Add("p A END 1\n", uint8(0))
+	f.Add("p A START 1\np A END 2\np B START 3\np B END 4\np C START 5\np C END 6\np D START 7\np D END 8\n", uint8(2))
+	f.Fuzz(func(t *testing.T, input string, mode uint8) {
 		events, err := ReadText(strings.NewReader(input))
 		if err != nil {
 			return
 		}
-		l, err := Assemble(events)
-		if err != nil {
-			return
+		for _, policy := range []Policy{FailFast, Skip, Quarantine} {
+			opts := watermarks(policy, mode)
+			l, _, err := AssembleWith(events, opts, nil)
+			if err != nil {
+				if opts.Policy != FailFast {
+					t.Fatalf("policy %v returned %v", policy, err)
+				}
+				continue
+			}
+			checkExecutions(t, opts, l.Executions)
+			for _, e := range l.Executions {
+				_ = e.String()
+				_ = e.ActivitySet()
+			}
+			_ = l.ComputeStats()
 		}
-		for _, e := range l.Executions {
-			_ = e.String()
-			_ = e.ActivitySet()
-		}
-		_ = l.ComputeStats()
 	})
 }

@@ -77,9 +77,11 @@ type IngestOptions struct {
 	MaxSampleErrors int
 
 	// MaxOpenExecutions bounds how many incomplete executions an
-	// ExecutionStream keeps in memory; pushing an event for a new execution
-	// beyond the watermark evicts the stalest open execution to quarantine
+	// ExecutionStream keeps in memory; a START for a new execution beyond
+	// the watermark evicts the stalest open execution to quarantine
 	// (FailFast: returns ErrTooManyOpenExecutions instead). 0 = unlimited.
+	// AssembleWith holds one execution open at a time, so it never binds
+	// there.
 	MaxOpenExecutions int
 
 	// MaxStepsPerExecution bounds the steps of a single execution; an
@@ -219,9 +221,13 @@ func (r *IngestReport) record(e IngestError) {
 	}
 }
 
-// overBudget reports whether the error budget is exhausted.
-func (r *IngestReport) overBudget(opts IngestOptions) bool {
-	return opts.MaxErrors > 0 && r.TotalErrors() > opts.MaxErrors
+// checkBudget returns ErrTooManyErrors, with the counts, once the report
+// holds more errors than opts.MaxErrors allows.
+func (r *IngestReport) checkBudget(opts IngestOptions) error {
+	if opts.MaxErrors > 0 && r.TotalErrors() > opts.MaxErrors {
+		return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, r.TotalErrors(), opts.MaxErrors)
+	}
+	return nil
 }
 
 // quarantine marks an execution as set aside (idempotent).
@@ -303,127 +309,48 @@ func handleBadRecord(opts IngestOptions, rep *IngestReport, e IngestError) error
 	}
 	rep.record(e)
 	rep.RecordsSkipped++
-	if rep.overBudget(opts) {
-		return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, rep.TotalErrors(), opts.MaxErrors)
-	}
-	return nil
+	return rep.checkBudget(opts)
 }
 
 // AssembleWith groups raw event records into executions under a recovery
-// policy, accumulating into rep (which may be nil). Under FailFast it matches
-// Assemble. Under Skip, an END without a START is dropped and a START that
-// never ends loses just that step. Under Quarantine, any execution touched
-// by either fault is set aside whole and its ID recorded, preserving
-// conformality of what remains. Executions left empty are dropped silently
-// only if they were quarantined; otherwise an empty execution cannot arise
-// (every kept step decoded cleanly).
+// policy, accumulating into rep (which may be nil). Records are bucketed by
+// ProcessID in sorted order and each bucket, stable-sorted by time, is pushed
+// through one ExecutionStream sharing opts and rep; the execution settles as
+// soon as its bucket ends, so the log lists executions in ID order with
+// their steps in start-time order, and only one execution is open at a time
+// (MaxOpenExecutions cannot bind). Faults follow the stream's rules: under
+// FailFast the first one is returned; under Skip an END without a START is
+// dropped and a START that never ends loses just that step; under
+// Quarantine the first fault sets the execution aside whole, and its later
+// records count as skipped. An execution longer than MaxStepsPerExecution is
+// quarantined (FailFast: ErrExecutionTooLong). Executions left with no steps
+// are not emitted.
 func AssembleWith(events []Event, opts IngestOptions, rep *IngestReport) (*Log, *IngestReport, error) {
-	rep = ensureReport(rep, opts)
-	if !opts.lenient() {
-		l, err := Assemble(events)
-		return l, rep, err
-	}
-
+	log := &Log{}
+	s := NewExecutionStreamWith(opts, rep, func(e Execution) error {
+		log.Executions = append(log.Executions, e)
+		return nil
+	})
 	byProc := map[string][]Event{}
-	var order []string
 	for _, ev := range events {
-		if _, seen := byProc[ev.ProcessID]; !seen {
-			order = append(order, ev.ProcessID)
-		}
 		byProc[ev.ProcessID] = append(byProc[ev.ProcessID], ev)
 	}
-	sort.Strings(order)
-
-	log := &Log{}
-	for _, pid := range order {
-		evs := byProc[pid]
+	ids := make([]string, 0, len(byProc))
+	for id := range byProc {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		evs := byProc[id]
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
-		open := map[string][]int{}
-		var steps []Step
-		bad := false // execution touched by a structural fault
 		for _, ev := range evs {
-			switch ev.Type {
-			case Start:
-				open[ev.Activity] = append(open[ev.Activity], len(steps))
-				steps = append(steps, Step{Activity: ev.Activity, Start: ev.Time})
-			case End:
-				q := open[ev.Activity]
-				if len(q) == 0 {
-					bad = true
-					rep.record(IngestError{
-						Class:     ClassStructure,
-						Execution: pid,
-						Err:       fmt.Errorf("%w: END of %q at %v", ErrEndWithoutStart, ev.Activity, ev.Time),
-					})
-					rep.RecordsSkipped++
-					continue
-				}
-				idx := q[0]
-				open[ev.Activity] = q[1:]
-				steps[idx].End = ev.Time
-				steps[idx].Output = ev.Output.Clone()
-			default:
-				bad = true
-				rep.record(IngestError{
-					Class:     ClassSyntax,
-					Execution: pid,
-					Err:       fmt.Errorf("invalid event type %v", ev.Type),
-				})
-				rep.RecordsSkipped++
+			if err := s.Push(ev); err != nil {
+				return nil, s.rep, err
 			}
 		}
-		for _, a := range sortedKeys(open) {
-			for range open[a] {
-				bad = true
-				rep.record(IngestError{
-					Class:     ClassStructure,
-					Execution: pid,
-					Err:       fmt.Errorf("%w: activity %q", ErrUnterminatedStart, a),
-				})
-			}
+		if err := s.settle(id); err != nil {
+			return nil, s.rep, err
 		}
-		if opts.MaxStepsPerExecution > 0 && len(steps) > opts.MaxStepsPerExecution {
-			bad = true
-			rep.record(IngestError{
-				Class:     ClassLimit,
-				Execution: pid,
-				Err:       fmt.Errorf("%w: %d steps > %d", ErrExecutionTooLong, len(steps), opts.MaxStepsPerExecution),
-			})
-		}
-		if bad && opts.Policy == Quarantine {
-			rep.quarantine(pid)
-			if rep.overBudget(opts) {
-				return nil, rep, fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, rep.TotalErrors(), opts.MaxErrors)
-			}
-			continue
-		}
-		// Skip: drop unterminated steps, keep the rest.
-		kept := steps[:0]
-		for _, s := range steps {
-			if s.End.IsZero() {
-				rep.StepsDropped++
-				continue
-			}
-			kept = append(kept, s)
-		}
-		if rep.overBudget(opts) {
-			return nil, rep, fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, rep.TotalErrors(), opts.MaxErrors)
-		}
-		if len(kept) == 0 {
-			continue
-		}
-		sort.SliceStable(kept, func(i, j int) bool { return kept[i].Start.Before(kept[j].Start) })
-		log.Executions = append(log.Executions, Execution{ID: pid, Steps: kept})
 	}
-	return log, rep, nil
-}
-
-// sortedKeys returns the map's keys sorted, for deterministic error order.
-func sortedKeys(m map[string][]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return log, s.rep, nil
 }

@@ -2,6 +2,7 @@ package wlog
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -154,12 +155,16 @@ func TestAssembleWithQuarantineSetsAsideWholeExecutions(t *testing.T) {
 			t.Error("quarantined execution p2 leaked into the log")
 		}
 	}
-	if rep.ExecutionsQuarantined != 1 || len(rep.QuarantinedIDs) != 1 || rep.QuarantinedIDs[0] != "p2" {
+	if rep.ExecutionsQuarantined != 1 || !reflect.DeepEqual(rep.QuarantinedIDs, []string{"p2"}) {
 		t.Errorf("quarantine report = %+v, want exactly p2", rep)
 	}
-	// p2 had two faults: the dangling END and the unterminated START.
-	if rep.Errors[ClassStructure] != 2 {
-		t.Errorf("structure errors = %d, want 2", rep.Errors[ClassStructure])
+	// The dangling END sets p2 aside; its unterminated START leaves with it
+	// rather than counting as a second fault.
+	if rep.Errors[ClassStructure] != 1 {
+		t.Errorf("structure errors = %d, want 1", rep.Errors[ClassStructure])
+	}
+	if rep.RecordsSkipped != 1 {
+		t.Errorf("records skipped = %d, want 1 (the dangling END)", rep.RecordsSkipped)
 	}
 }
 
@@ -313,6 +318,24 @@ func TestExecutionStreamMaxOpenWatermark(t *testing.T) {
 	}
 	if rep.Errors[ClassLimit] != 1 {
 		t.Errorf("limit errors = %d, want 1", rep.Errors[ClassLimit])
+	}
+	// A stray END opens nothing, so it cannot evict the live execution.
+	var emitted []Execution
+	s3 := NewExecutionStreamWith(IngestOptions{Policy: Quarantine, MaxOpenExecutions: 1}, nil,
+		func(e Execution) error { emitted = append(emitted, e); return nil })
+	for _, e := range []Event{ev("p1", "A", Start, 1), ev("ghost", "B", End, 2), ev("p1", "A", End, 3)} {
+		if err := s3.Push(e); err != nil {
+			t.Fatalf("Push(%v): %v", e, err)
+		}
+	}
+	if err := s3.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if len(emitted) != 1 || emitted[0].ID != "p1" {
+		t.Errorf("emitted %v, want just p1", emitted)
+	}
+	if got := s3.Report().QuarantinedIDs; !reflect.DeepEqual(got, []string{"ghost"}) {
+		t.Errorf("quarantined %v, want [ghost]", got)
 	}
 }
 

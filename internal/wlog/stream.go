@@ -87,13 +87,15 @@ func parseTextLine(line string) (Event, error) {
 	return ev, nil
 }
 
-// ExecutionStream groups a stream of events into completed executions on
-// the fly. Events may interleave across executions; an execution is emitted
-// once every START it received has a matching END and Flush or a later
-// event for the same execution does not arrive before Close. Because "no
-// more events for this execution" is undecidable mid-stream, completion is
-// signalled explicitly: Push returns executions it can close opportunistically
-// (all instances ended), and Close drains the rest.
+// ExecutionStream groups a stream of events into executions: each END is
+// paired with the earliest open START of the same activity in the same
+// execution (FIFO pairing, exact for non-overlapping instances of one
+// activity and a standard convention otherwise). It is the only grouping of
+// events into executions; AssembleWith feeds it one execution at a time.
+// Events may interleave across executions. Because "no more events for this
+// execution" is undecidable mid-stream, completion is signalled explicitly:
+// EmitCompleted emits the executions whose steps have all ended, and Close
+// settles the rest.
 //
 // Streams built with NewExecutionStreamWith additionally enforce the
 // IngestOptions recovery policy and resource watermarks: structurally bad
@@ -101,7 +103,8 @@ func parseTextLine(line string) (Event, error) {
 // MaxStepsPerExecution is evicted to quarantine, and when the number of open
 // executions would exceed MaxOpenExecutions the stalest one (the open
 // execution that has gone longest without an event) is evicted, so an
-// endless live trail cannot grow the stream without bound.
+// endless live trail cannot grow the stream without bound. Only an accepted
+// START opens an execution.
 type ExecutionStream struct {
 	open map[string]*streamExec
 	emit func(Execution) error
@@ -110,12 +113,49 @@ type ExecutionStream struct {
 	seq  int // Push counter; streamExec.lastSeq orders evictions
 }
 
+// streamExec is one open execution. A step is open while its End is the
+// zero time, as the checkpoint encodes it; every step before firstOpen has
+// ended.
 type streamExec struct {
-	steps   []Step
-	pending map[string][]int // activity -> open step indices
-	started int
-	ended   int
-	lastSeq int // seq of the most recent event for this execution
+	steps     []Step
+	firstOpen int
+	lastSeq   int // seq of the most recent event for this execution
+}
+
+// done reports whether every step of the execution has ended.
+func (se *streamExec) done() bool { return se.firstOpen == len(se.steps) }
+
+// openStep returns the index of the earliest open step of activity a, or -1
+// when there is none (or no execution).
+func (se *streamExec) openStep(a string) int {
+	if se != nil {
+		for i := se.firstOpen; i < len(se.steps); i++ {
+			if se.steps[i].End.IsZero() && se.steps[i].Activity == a {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// advance moves firstOpen past the steps that have ended.
+func (se *streamExec) advance() {
+	for se.firstOpen < len(se.steps) && !se.steps[se.firstOpen].End.IsZero() {
+		se.firstOpen++
+	}
+}
+
+// unterminated returns the activities of the open steps, sorted, with one
+// entry per open step.
+func (se *streamExec) unterminated() []string {
+	var out []string
+	for _, st := range se.steps[se.firstOpen:] {
+		if st.End.IsZero() {
+			out = append(out, st.Activity)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // NewExecutionStream returns a stream that calls emit for each completed
@@ -144,6 +184,19 @@ func (s *ExecutionStream) Report() *IngestReport { return s.rep }
 // OpenExecutions returns the number of executions currently held open.
 func (s *ExecutionStream) OpenExecutions() int { return len(s.open) }
 
+// openIDs returns the IDs of the open executions that keep accepts (all of
+// them when keep is nil), sorted.
+func (s *ExecutionStream) openIDs(keep func(*streamExec) bool) []string {
+	ids := make([]string, 0, len(s.open))
+	for id, se := range s.open {
+		if keep == nil || keep(se) {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
 // bad applies the policy to one bad event: FailFast propagates err; Skip
 // drops the event; Quarantine sets the execution aside whole.
 func (s *ExecutionStream) bad(e IngestError, err error) error {
@@ -155,10 +208,16 @@ func (s *ExecutionStream) bad(e IngestError, err error) error {
 	if s.opts.Policy == Quarantine && e.Execution != "" {
 		s.quarantineExec(e.Execution)
 	}
-	if s.rep.overBudget(s.opts) {
-		return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, s.rep.TotalErrors(), s.opts.MaxErrors)
-	}
-	return nil
+	return s.rep.checkBudget(s.opts)
+}
+
+// evict sets an execution aside for breaching a watermark. Only lenient
+// policies reach it; under FailFast the caller returns the breach as an
+// error instead.
+func (s *ExecutionStream) evict(id string, err error) error {
+	s.rep.record(IngestError{Class: ClassLimit, Execution: id, Err: err})
+	s.quarantineExec(id)
+	return s.rep.checkBudget(s.opts)
 }
 
 // quarantineExec drops an open execution (if any) and records its ID so
@@ -179,66 +238,54 @@ func (s *ExecutionStream) Push(ev Event) error {
 		return nil
 	}
 	se := s.open[ev.ProcessID]
-	if se == nil {
-		if s.opts.MaxOpenExecutions > 0 && len(s.open) >= s.opts.MaxOpenExecutions {
-			if err := s.evictStalest(ev.ProcessID); err != nil {
-				return err
-			}
-		}
-		se = &streamExec{pending: map[string][]int{}}
-		s.open[ev.ProcessID] = se
+	if se != nil {
+		se.lastSeq = s.seq
 	}
-	se.lastSeq = s.seq
 	switch ev.Type {
 	case Start:
-		se.pending[ev.Activity] = append(se.pending[ev.Activity], len(se.steps))
+		if se == nil {
+			if s.opts.MaxOpenExecutions > 0 && len(s.open) >= s.opts.MaxOpenExecutions {
+				if err := s.evictStalest(ev.ProcessID); err != nil {
+					return err
+				}
+			}
+			se = &streamExec{lastSeq: s.seq}
+			s.open[ev.ProcessID] = se
+		}
 		se.steps = append(se.steps, Step{Activity: ev.Activity, Start: ev.Time})
-		se.started++
-		if s.opts.MaxStepsPerExecution > 0 && len(se.steps) > s.opts.MaxStepsPerExecution {
-			e := IngestError{
-				Class:     ClassLimit,
-				Execution: ev.ProcessID,
-				Err:       fmt.Errorf("%w: %d steps > %d", ErrExecutionTooLong, len(se.steps), s.opts.MaxStepsPerExecution),
-			}
+		if max := s.opts.MaxStepsPerExecution; max > 0 && len(se.steps) > max {
+			err := fmt.Errorf("%w: %d steps > %d", ErrExecutionTooLong, len(se.steps), max)
 			if !s.opts.lenient() {
-				return fmt.Errorf("wlog: stream: execution %q: %w", ev.ProcessID, e.Err)
+				return fmt.Errorf("wlog: execution %q: %w", ev.ProcessID, err)
 			}
-			s.rep.record(e)
-			s.quarantineExec(ev.ProcessID)
-			if s.rep.overBudget(s.opts) {
-				return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, s.rep.TotalErrors(), s.opts.MaxErrors)
-			}
+			return s.evict(ev.ProcessID, err)
 		}
 	case End:
-		q := se.pending[ev.Activity]
-		if len(q) == 0 {
+		i := se.openStep(ev.Activity)
+		if i < 0 {
 			return s.bad(IngestError{
 				Class:     ClassStructure,
 				Execution: ev.ProcessID,
 				Err:       fmt.Errorf("%w: END of %q", ErrEndWithoutStart, ev.Activity),
-			}, fmt.Errorf("wlog: stream: execution %q: END of %q without START", ev.ProcessID, ev.Activity))
+			}, fmt.Errorf("wlog: execution %q: END of %q without START", ev.ProcessID, ev.Activity))
 		}
-		idx := q[0]
-		if ev.Time.Before(se.steps[idx].Start) {
+		st := &se.steps[i]
+		if ev.Time.Before(st.Start) {
 			// A time-reversed END cannot close the step; the START stays
-			// pending and surfaces as unterminated at Close.
-			return s.bad(IngestError{
-				Class:     ClassStructure,
-				Execution: ev.ProcessID,
-				Err:       fmt.Errorf("END of %q at %v precedes its START at %v", ev.Activity, ev.Time, se.steps[idx].Start),
-			}, fmt.Errorf("wlog: stream: execution %q: END of %q at %v precedes its START at %v",
-				ev.ProcessID, ev.Activity, ev.Time, se.steps[idx].Start))
+			// open and surfaces as unterminated when the execution settles.
+			err := fmt.Errorf("END of %q at %v precedes its START at %v", ev.Activity, ev.Time, st.Start)
+			return s.bad(IngestError{Class: ClassStructure, Execution: ev.ProcessID, Err: err},
+				fmt.Errorf("wlog: execution %q: %w", ev.ProcessID, err))
 		}
-		se.pending[ev.Activity] = q[1:]
-		se.steps[idx].End = ev.Time
-		se.steps[idx].Output = ev.Output.Clone()
-		se.ended++
+		st.End = ev.Time
+		st.Output = ev.Output.Clone()
+		se.advance()
 	default:
 		return s.bad(IngestError{
 			Class:     ClassSyntax,
 			Execution: ev.ProcessID,
 			Err:       fmt.Errorf("invalid event type %v", ev.Type),
-		}, fmt.Errorf("wlog: stream: invalid event type %v", ev.Type))
+		}, fmt.Errorf("wlog: execution %q: invalid event type %v", ev.ProcessID, ev.Type))
 	}
 	return nil
 }
@@ -248,7 +295,7 @@ func (s *ExecutionStream) Push(ev Event) error {
 // discarded). Under FailFast the watermark is a hard error instead.
 func (s *ExecutionStream) evictStalest(incoming string) error {
 	if !s.opts.lenient() {
-		return fmt.Errorf("wlog: stream: %w: %d open, cannot admit %q (MaxOpenExecutions=%d)",
+		return fmt.Errorf("wlog: %w: %d open, cannot admit %q (MaxOpenExecutions=%d)",
 			ErrTooManyOpenExecutions, len(s.open), incoming, s.opts.MaxOpenExecutions)
 	}
 	stalest, best := "", int(^uint(0)>>1)
@@ -257,16 +304,70 @@ func (s *ExecutionStream) evictStalest(incoming string) error {
 			stalest, best = id, se.lastSeq
 		}
 	}
-	s.rep.record(IngestError{
-		Class:     ClassLimit,
-		Execution: stalest,
-		Err:       fmt.Errorf("%w: evicted to admit %q", ErrTooManyOpenExecutions, incoming),
-	})
-	s.quarantineExec(stalest)
-	if s.rep.overBudget(s.opts) {
-		return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, s.rep.TotalErrors(), s.opts.MaxErrors)
+	return s.evict(stalest, fmt.Errorf("%w: evicted to admit %q", ErrTooManyOpenExecutions, incoming))
+}
+
+// settle removes one open execution from the stream and emits what the
+// policy keeps of it. An execution whose steps have all ended is emitted
+// whole. Otherwise FailFast returns an error naming its unterminated
+// activities and keeps it open, Quarantine sets it aside, and Skip drops
+// the unterminated steps and emits the rest. EmitCompleted, Close and
+// AssembleWith all end an execution here.
+func (s *ExecutionStream) settle(id string) error {
+	se := s.open[id]
+	if se == nil {
+		return nil // never opened, or quarantined while its events arrived
 	}
-	return nil
+	done := se.done()
+	if !done && !s.opts.lenient() {
+		return s.stuckError([]string{id})
+	}
+	delete(s.open, id)
+	if !done {
+		for _, a := range se.unterminated() {
+			s.rep.record(IngestError{
+				Class:     ClassStructure,
+				Execution: id,
+				Err:       fmt.Errorf("%w: activity %q", ErrUnterminatedStart, a),
+			})
+		}
+		if s.opts.Policy == Quarantine {
+			s.rep.quarantine(id)
+			return s.rep.checkBudget(s.opts)
+		}
+		kept := se.steps[:0]
+		for _, st := range se.steps {
+			if st.End.IsZero() {
+				s.rep.StepsDropped++
+				continue
+			}
+			kept = append(kept, st)
+		}
+		se.steps = kept
+		if err := s.rep.checkBudget(s.opts); err != nil {
+			return err
+		}
+	}
+	if len(se.steps) == 0 {
+		return nil
+	}
+	steps := se.steps
+	sort.SliceStable(steps, func(i, j int) bool { return steps[i].Start.Before(steps[j].Start) })
+	return s.emit(Execution{ID: id, Steps: steps})
+}
+
+// stuckError is the FailFast error for open executions that cannot settle:
+// it names each execution and its unterminated activities, in sorted order.
+func (s *ExecutionStream) stuckError(ids []string) error {
+	parts := make([]string, len(ids))
+	for i, id := range ids {
+		parts[i] = fmt.Sprintf("%q %q", id, s.open[id].unterminated())
+	}
+	noun := "executions"
+	if len(ids) == 1 {
+		noun = "execution"
+	}
+	return fmt.Errorf("wlog: %d %s with unterminated activities: %s", len(ids), noun, strings.Join(parts, ", "))
 }
 
 // EmitCompleted emits and forgets every execution whose instances have all
@@ -274,19 +375,8 @@ func (s *ExecutionStream) evictStalest(incoming string) error {
 // memory; executions that later receive more events would then surface as a
 // second execution with the same ID, which Log.Validate flags.
 func (s *ExecutionStream) EmitCompleted() error {
-	ids := make([]string, 0, len(s.open))
-	for id, se := range s.open {
-		if se.started == se.ended && se.started > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		se := s.open[id]
-		delete(s.open, id)
-		steps := se.steps
-		sort.SliceStable(steps, func(i, j int) bool { return steps[i].Start.Before(steps[j].Start) })
-		if err := s.emit(Execution{ID: id, Steps: steps}); err != nil {
+	for _, id := range s.openIDs((*streamExec).done) {
+		if err := s.settle(id); err != nil {
 			return err
 		}
 	}
@@ -301,60 +391,14 @@ func (s *ExecutionStream) Close() error {
 	if err := s.EmitCompleted(); err != nil {
 		return err
 	}
-	stuck := make([]string, 0, len(s.open))
-	for id, se := range s.open {
-		if se.started != se.ended {
-			stuck = append(stuck, id)
-		}
-	}
-	sort.Strings(stuck)
-	if len(stuck) == 0 {
-		return nil
-	}
-	if !s.opts.lenient() {
-		parts := make([]string, len(stuck))
-		for i, id := range stuck {
-			se := s.open[id]
-			parts[i] = fmt.Sprintf("%q (%d)", id, se.started-se.ended)
-		}
-		return fmt.Errorf("wlog: stream: %d executions with unterminated activities: %s",
-			len(stuck), strings.Join(parts, ", "))
+	stuck := s.openIDs(nil)
+	if len(stuck) > 0 && !s.opts.lenient() {
+		return s.stuckError(stuck)
 	}
 	for _, id := range stuck {
-		se := s.open[id]
-		for _, a := range sortedKeys(se.pending) {
-			for range se.pending[a] {
-				s.rep.record(IngestError{
-					Class:     ClassStructure,
-					Execution: id,
-					Err:       fmt.Errorf("%w: activity %q", ErrUnterminatedStart, a),
-				})
-			}
-		}
-		if s.opts.Policy == Quarantine {
-			s.quarantineExec(id)
-			continue
-		}
-		// Skip: drop the unterminated steps, emit the remainder.
-		kept := se.steps[:0]
-		for _, st := range se.steps {
-			if st.End.IsZero() {
-				s.rep.StepsDropped++
-				continue
-			}
-			kept = append(kept, st)
-		}
-		delete(s.open, id)
-		if len(kept) == 0 {
-			continue
-		}
-		sort.SliceStable(kept, func(i, j int) bool { return kept[i].Start.Before(kept[j].Start) })
-		if err := s.emit(Execution{ID: id, Steps: kept}); err != nil {
+		if err := s.settle(id); err != nil {
 			return err
 		}
-	}
-	if s.rep.overBudget(s.opts) {
-		return fmt.Errorf("%w: %d errors exceed MaxErrors=%d", ErrTooManyErrors, s.rep.TotalErrors(), s.opts.MaxErrors)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package wlog
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -52,11 +51,7 @@ func (s *ExecutionStream) Policy() Policy { return s.opts.Policy }
 // SnapshotOpen exports the stream's open executions, sorted by ID. The
 // result shares no memory with the stream.
 func (s *ExecutionStream) SnapshotOpen() []OpenExecution {
-	ids := make([]string, 0, len(s.open))
-	for id := range s.open {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := s.openIDs(nil)
 	out := make([]OpenExecution, 0, len(ids))
 	for _, id := range ids {
 		se := s.open[id]
@@ -86,19 +81,16 @@ func (s *ExecutionStream) RestoreOpen(opens []OpenExecution) error {
 		if _, ok := s.open[oe.ID]; ok {
 			return fmt.Errorf("wlog: stream: restore: execution %q is already open", oe.ID)
 		}
-		se := &streamExec{pending: map[string][]int{}, lastSeq: oe.LastSeq}
+		se := &streamExec{lastSeq: oe.LastSeq}
 		for _, os := range oe.Steps {
 			st := Step{Activity: os.Activity, Start: time.Unix(0, os.StartNS).UTC()}
 			if os.EndNS != 0 {
 				st.End = time.Unix(0, os.EndNS).UTC()
 				st.Output = append([]int(nil), os.Output...)
-				se.ended++
-			} else {
-				se.pending[os.Activity] = append(se.pending[os.Activity], len(se.steps))
 			}
-			se.started++
 			se.steps = append(se.steps, st)
 		}
+		se.advance()
 		s.open[oe.ID] = se
 		if oe.LastSeq > s.seq {
 			s.seq = oe.LastSeq

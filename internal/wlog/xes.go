@@ -213,22 +213,7 @@ func ReadXESWith(r io.Reader, opts IngestOptions, rep *IngestReport) (*Log, *Ing
 			}
 		}
 	}
-	if opts.lenient() {
-		// Drop events of traces quarantined during decode before assembly,
-		// so a half-decoded trace cannot masquerade as a short execution.
-		if rep.ExecutionsQuarantined > 0 {
-			kept := events[:0]
-			for _, ev := range events {
-				if rep.isQuarantined(ev.ProcessID) {
-					rep.RecordsSkipped++
-					continue
-				}
-				kept = append(kept, ev)
-			}
-			events = kept
-		}
-		return AssembleWith(events, opts, rep)
-	}
-	l, err := Assemble(events)
-	return l, rep, err
+	// Events of a trace quarantined above are swallowed, and counted as
+	// skipped, when the stream sees them.
+	return AssembleWith(events, opts, rep)
 }
