@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"procmine/internal/core"
 	"procmine/internal/experiments"
@@ -413,4 +414,119 @@ func BenchmarkXESCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// encodeText encodes l's events as a text trail, one event per line in
+// time order, the way the procmine CLI reads it from disk.
+func encodeText(b *testing.B, l *wlog.Log) []byte {
+	b.Helper()
+	var text bytes.Buffer
+	if err := wlog.WriteText(&text, l.Events()); err != nil {
+		b.Fatal(err)
+	}
+	return text.Bytes()
+}
+
+// interleave shifts execution k of l to start k nanoseconds after the
+// first, so a trail of l's events in time order interleaves all of its
+// executions the way a live trail does.
+func interleave(l *wlog.Log) {
+	base := l.Executions[0].Steps[0].Start
+	for k := range l.Executions {
+		steps := l.Executions[k].Steps
+		shift := steps[0].Start.Sub(base) - time.Duration(k)
+		for i := range steps {
+			steps[i].Start = steps[i].Start.Add(-shift)
+			steps[i].End = steps[i].End.Add(-shift)
+		}
+	}
+}
+
+// BenchmarkReadLogText measures the batch text path on the paper's largest
+// Table 1 cell (n=100, m=10000): "whole" is ReadLogWith plus Validate, the
+// read half of a procmine CLI run, on the simulator's trail, which lists
+// each execution's events together; "interleaved" is the same on a trail
+// whose executions all overlap; "decode" is ReadTextWith alone.
+func BenchmarkReadLogText(b *testing.B) {
+	_, l := syntheticLog(b, 100, 10000)
+	text := encodeText(b, l)
+	interleave(l)
+	mixed := encodeText(b, l)
+	for _, bc := range []struct {
+		name string
+		text []byte
+	}{{"whole", text}, {"interleaved", mixed}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l, _, err := ReadLogWith(bytes.NewReader(bc.text), FormatText, IngestOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := l.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(text)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := wlog.ReadTextWith(bytes.NewReader(text), IngestOptions{}, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// streamBody encodes execs executions of a small cyclic process as one
+// interleaved /ingest body.
+func streamBody(b *testing.B, execs int) []byte {
+	b.Helper()
+	cyc := graph.NewFromEdges(
+		graph.Edge{From: synth.StartActivity, To: "B"},
+		graph.Edge{From: synth.StartActivity, To: "D"},
+		graph.Edge{From: "B", To: "C"},
+		graph.Edge{From: "C", To: "B"},
+		graph.Edge{From: "C", To: "E"},
+		graph.Edge{From: "D", To: "E"},
+		graph.Edge{From: "E", To: synth.EndActivity},
+	)
+	cs, err := synth.NewCyclicSimulator(cyc, 3, rand.New(rand.NewSource(11)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := cs.GenerateLog("p", execs)
+	interleave(l)
+	return encodeText(b, l)
+}
+
+// BenchmarkStreamTextBody measures the procmined /ingest shape: one body
+// of 50 interleaved cyclic executions decoded by StreamTextWith straight
+// into a Skip ExecutionStream, then EmitCompleted.
+func BenchmarkStreamTextBody(b *testing.B) {
+	text := streamBody(b, 50)
+	opts := IngestOptions{Policy: wlog.Skip}
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep := wlog.NewIngestReport(opts)
+		execs := 0
+		s := wlog.NewExecutionStreamWith(opts, rep, func(wlog.Execution) error {
+			execs++
+			return nil
+		})
+		if _, err := wlog.StreamTextWith(bytes.NewReader(text), opts, rep, s.Push); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.EmitCompleted(); err != nil {
+			b.Fatal(err)
+		}
+		if execs != 50 || !rep.Clean() {
+			b.Fatalf("emitted %d executions, report %s", execs, rep.Summary())
+		}
+	}
 }

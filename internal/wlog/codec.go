@@ -9,21 +9,28 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // The text codec writes one event per line:
 //
 //	<process> <activity> START|END <unix-nanos> [<out0> <out1> ...]
 //
-// Fields are space-separated; process and activity names therefore must not
-// contain spaces (names with spaces should use the CSV or JSON codec).
+// Fields are separated by whitespace; process and activity names therefore
+// must not contain any (names with spaces should use the CSV or JSON codec).
 
-// WriteText writes events in the text-log format.
+// WriteText writes events in the text-log format. It refuses any name
+// ReadText could not give back: an empty process or activity name, a name
+// holding a rune unicode.IsSpace accepts (ReadText splits fields there),
+// and a process name starting with '#', which makes its line a comment.
 func WriteText(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	for _, ev := range events {
-		if strings.ContainsAny(ev.ProcessID, " \t\n") || strings.ContainsAny(ev.Activity, " \t\n") {
-			return fmt.Errorf("wlog: text codec cannot encode name with whitespace: %q/%q", ev.ProcessID, ev.Activity)
+		if err := textNameError("process", ev.ProcessID); err != nil {
+			return err
+		}
+		if err := textNameError("activity", ev.Activity); err != nil {
+			return err
 		}
 		if _, err := bw.WriteString(ev.String()); err != nil {
 			return err
@@ -35,9 +42,26 @@ func WriteText(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// ReadText parses the text-log format. Blank lines and lines starting with
-// '#' are skipped. For very large trails prefer StreamText, which does not
-// materialize the slice.
+// textNameError says why name, a process or activity name as kind says,
+// cannot be a text-codec field; it returns nil when it can.
+func textNameError(kind, name string) error {
+	var reason string
+	switch {
+	case name == "":
+		reason = "it is empty"
+	case strings.IndexFunc(name, unicode.IsSpace) >= 0:
+		reason = "it contains whitespace"
+	case kind == "process" && name[0] == '#':
+		reason = "a line starting with '#' is a comment"
+	default:
+		return nil
+	}
+	return fmt.Errorf("wlog: text codec cannot encode %s name %q: %s", kind, name, reason)
+}
+
+// ReadText parses the text-log format. Blank lines and comment lines, whose
+// first field starts with '#', are skipped. For very large trails prefer
+// StreamText, which does not materialize the slice.
 func ReadText(r io.Reader) ([]Event, error) {
 	events, _, err := ReadTextWith(r, IngestOptions{}, nil)
 	return events, err
@@ -47,15 +71,48 @@ func ReadText(r io.Reader) ([]Event, error) {
 // unparseable lines are counted in the report and skipped instead of
 // aborting the read (FailFast behaves exactly like ReadText).
 func ReadTextWith(r io.Reader, opts IngestOptions, rep *IngestReport) ([]Event, *IngestReport, error) {
-	var events []Event
-	rep, err := StreamTextWith(r, opts, rep, func(ev Event) error {
-		events = append(events, ev)
-		return nil
-	})
+	var g eventGatherer
+	rep, err := StreamTextWith(r, opts, rep, g.add)
 	if err != nil {
 		return nil, rep, err
 	}
-	return events, rep, nil
+	return g.events(), rep, nil
+}
+
+// gatherChunk caps the chunks an eventGatherer fills.
+const gatherChunk = 4096
+
+// eventGatherer collects streamed events in chunks that grow to
+// gatherChunk events and are then never regrown, so a long read does not
+// copy its events again at every growth; events copies them once into an
+// exact-length result.
+type eventGatherer struct {
+	chunks [][]Event
+	n      int
+}
+
+// add appends one event; it never fails.
+func (g *eventGatherer) add(ev Event) error {
+	last := len(g.chunks) - 1
+	if last < 0 || len(g.chunks[last]) == cap(g.chunks[last]) {
+		g.chunks = append(g.chunks, make([]Event, 0, min(max(g.n, 16), gatherChunk)))
+		last++
+	}
+	g.chunks[last] = append(g.chunks[last], ev)
+	g.n++
+	return nil
+}
+
+// events returns the gathered events in order, nil when there are none.
+func (g *eventGatherer) events() []Event {
+	if g.n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, g.n)
+	for _, c := range g.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // csvHeader is the fixed column set of the CSV codec.

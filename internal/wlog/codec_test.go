@@ -63,14 +63,49 @@ func TestTextErrors(t *testing.T) {
 	}
 }
 
+// TestTextRejectsWhitespaceNames pins WriteText's name rule: it refuses
+// exactly the names whose line ReadText could not give back, and says why.
 func TestTextRejectsWhitespaceNames(t *testing.T) {
-	evs := []Event{{ProcessID: "has space", Activity: "A", Type: Start, Time: time.Unix(0, 0)}}
-	if err := WriteText(&bytes.Buffer{}, evs); err == nil {
-		t.Fatal("WriteText accepted process name with space")
+	cases := []struct{ pid, act, reason string }{
+		{"has space", "A", "whitespace"},
+		{"p", "a b", "whitespace"},
+		{"p\tq", "A", "whitespace"},
+		{"p", "a\nb", "whitespace"},
+		{"p\rq", "A", "whitespace"},
+		{"p", "a\vb", "whitespace"},
+		{"p\fq", "A", "whitespace"},
+		{"p", "a\u0085b", "whitespace"},
+		{"p\u00a0q", "A", "whitespace"},
+		{"p", "a\u2003b", "whitespace"},
+		{"", "A", "empty"},
+		{"p", "", "empty"},
+		{"#p", "A", "comment"},
+		{"#", "A", "comment"},
 	}
-	evs = []Event{{ProcessID: "p", Activity: "a b", Type: Start, Time: time.Unix(0, 0)}}
-	if err := WriteText(&bytes.Buffer{}, evs); err == nil {
-		t.Fatal("WriteText accepted activity name with space")
+	for _, c := range cases {
+		ev := Event{ProcessID: c.pid, Activity: c.act, Type: Start, Time: time.Unix(0, 1).UTC()}
+		err := WriteText(&bytes.Buffer{}, []Event{ev})
+		if err == nil || !strings.Contains(err.Error(), c.reason) {
+			t.Errorf("WriteText(%q, %q) = %v, want an error naming %q", c.pid, c.act, err, c.reason)
+		}
+		// The rule is not arbitrary: the line as written reads back as
+		// something else, or not at all.
+		got, err := ReadText(strings.NewReader(ev.String() + "\n"))
+		if err == nil && reflect.DeepEqual(got, []Event{ev}) {
+			t.Errorf("%q reads back unchanged, yet WriteText refuses it", ev.String())
+		}
+	}
+	// '#' inside a process name, and anywhere in an activity, is legal.
+	ok := []Event{
+		{ProcessID: "p#1", Activity: "#A", Type: Start, Time: time.Unix(0, 1).UTC()},
+		{ProcessID: "p#1", Activity: "#A", Type: End, Time: time.Unix(0, 2).UTC(), Output: Output{4}},
+	}
+	var buf bytes.Buffer
+	if err := WriteText(&buf, ok); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	if got, err := ReadText(&buf); err != nil || !reflect.DeepEqual(got, ok) {
+		t.Fatalf("round trip = %v, %v; want %v", got, err, ok)
 	}
 }
 

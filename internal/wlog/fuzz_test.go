@@ -2,12 +2,19 @@ package wlog
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
-// FuzzReadText checks that arbitrary input never panics the text decoder
-// and that successfully decoded events re-encode and re-decode to the same
+// FuzzReadText checks the text decoder against OracleReadTextWith, and
+// the assembler against OracleAssembleWith on what both decoded, under
+// every recovery policy, an error budget and a step watermark: events,
+// logs, IngestReports and error texts must all be equal. It also checks
+// that successfully decoded events re-encode and re-decode to the same
 // events (round-trip stability).
 func FuzzReadText(f *testing.F) {
 	f.Add("p A START 100\np A END 200 5\n")
@@ -15,14 +22,40 @@ func FuzzReadText(f *testing.F) {
 	f.Add("x y z w\n")
 	f.Add("p A START notanumber\n")
 	f.Add("p A END 100 -3\n")
+	f.Add("p A START +100\np A END +200 +5 -0\n")
+	f.Add("p A START 9223372036854775807\np A END 9223372036854775808 1\n")
+	f.Add("p A START 0000000000000000000001\np A END 2 99999999999999999999\n")
+	f.Add("p\vA\fSTART 1\r\np A END\t2\r\n\r\n")
+	f.Add("p A\u00a0B START 1\np\u00a0A END 2\n\u00a0\n")
+	f.Add("#p A START 1\n  # indented comment\n\u2003#spaced comment\np #A START 1\np #A END 2\n")
+	f.Add("q B START 5\np A START 1\nq B END 3\np A END 2\nq B END 6\n")
 	f.Fuzz(func(t *testing.T, input string) {
+		for _, opts := range []IngestOptions{
+			{Policy: FailFast},
+			{Policy: Skip},
+			{Policy: Quarantine},
+			{Policy: Skip, MaxErrors: 2, MaxSampleErrors: 1},
+			{Policy: Quarantine, MaxStepsPerExecution: 2},
+		} {
+			got, gotRep, gotErr := ReadTextWith(strings.NewReader(input), opts, nil)
+			want, wantRep, wantErr := OracleReadTextWith(strings.NewReader(input), opts, nil)
+			sameOutcome(t, "ReadTextWith", opts, got, want, gotRep, wantRep, gotErr, wantErr)
+			if gotErr != nil {
+				continue
+			}
+			gotLog, gotRep, gotErr := AssembleWith(got, opts, gotRep)
+			wantLog, wantRep, wantErr := OracleAssembleWith(want, opts, wantRep)
+			sameOutcome(t, "AssembleWith", opts, gotLog, wantLog, gotRep, wantRep, gotErr, wantErr)
+		}
+
 		events, err := ReadText(strings.NewReader(input))
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
 		if err := WriteText(&buf, events); err != nil {
-			// Names with whitespace cannot appear: Fields split them.
+			// Decoded names are never empty, hold no whitespace (it splits
+			// fields), and no process ID starts with '#' (a comment).
 			t.Fatalf("decoded events failed to re-encode: %v", err)
 		}
 		again, err := ReadText(&buf)
@@ -36,6 +69,53 @@ func FuzzReadText(f *testing.F) {
 			if events[i].String() != again[i].String() {
 				t.Fatalf("event %d changed: %q != %q", i, events[i].String(), again[i].String())
 			}
+		}
+	})
+}
+
+// sameOutcome fails the test unless a production call and its oracle
+// returned equal results, equal reports and the same error text.
+func sameOutcome(t *testing.T, what string, opts IngestOptions, got, want any, gotRep, wantRep *IngestReport, gotErr, wantErr error) {
+	t.Helper()
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s %+v: error %v, oracle %v", what, opts, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %+v: result\n%+v\noracle\n%+v", what, opts, got, want)
+	}
+	if !reflect.DeepEqual(gotRep, wantRep) {
+		t.Fatalf("%s %+v: report\n%+v\noracle\n%+v", what, opts, gotRep, wantRep)
+	}
+}
+
+// FuzzWriteText checks that WriteText writes only what ReadText gives
+// back: whenever it accepts a START and an END of one activity, reading
+// its output returns the same two events.
+func FuzzWriteText(f *testing.F) {
+	f.Add("p1", "A", int64(1000), 3)
+	f.Add("#p", "A", int64(1), 0)
+	f.Add("p#1", "#A", int64(-5), -1)
+	f.Add("p", "a\vb", int64(0), 7)
+	f.Add("p\u00a0q", "A", int64(2), 1)
+	f.Add("p\u0085", "\x85", int64(math.MaxInt64), math.MinInt)
+	f.Add("", "A", int64(2), 1)
+	f.Add("p", "", int64(2), 1)
+	f.Fuzz(func(t *testing.T, pid, act string, ns int64, out int) {
+		at := time.Unix(0, ns).UTC()
+		events := []Event{
+			{ProcessID: pid, Activity: act, Type: Start, Time: at},
+			{ProcessID: pid, Activity: act, Type: End, Time: at, Output: Output{out, -out}},
+		}
+		var buf bytes.Buffer
+		if err := WriteText(&buf, events); err != nil {
+			return
+		}
+		got, err := ReadText(&buf)
+		if err != nil {
+			t.Fatalf("WriteText accepted %q/%q, ReadText refuses its output: %v", pid, act, err)
+		}
+		if !reflect.DeepEqual(got, events) {
+			t.Fatalf("WriteText accepted %q/%q, ReadText returns\n%+v\nwant\n%+v", pid, act, got, events)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -331,20 +332,16 @@ func AssembleWith(events []Event, opts IngestOptions, rep *IngestReport) (*Log, 
 		log.Executions = append(log.Executions, e)
 		return nil
 	})
-	byProc := map[string][]Event{}
-	for _, ev := range events {
-		byProc[ev.ProcessID] = append(byProc[ev.ProcessID], ev)
-	}
-	ids := make([]string, 0, len(byProc))
-	for id := range byProc {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		evs := byProc[id]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
-		for _, ev := range evs {
-			if err := s.Push(ev); err != nil {
+	ids, order, start := bucketByProcess(events)
+	byTime := func(a, b int) int { return events[a].Time.Compare(events[b].Time) }
+	for k, id := range ids {
+		bucket := order[start[k]:start[k+1]]
+		if !slices.IsSortedFunc(bucket, byTime) {
+			slices.SortStableFunc(bucket, byTime)
+		}
+		s.stepsHint = (len(bucket) + 1) / 2
+		for _, i := range bucket {
+			if err := s.Push(events[i]); err != nil {
 				return nil, s.rep, err
 			}
 		}
@@ -353,4 +350,45 @@ func AssembleWith(events []Event, opts IngestOptions, rep *IngestReport) (*Log, 
 		}
 	}
 	return log, s.rep, nil
+}
+
+// bucketByProcess counting-sorts the indices of events by process ID. It
+// returns the distinct IDs in sorted order and the indices of the events
+// of ids[k] as order[start[k]:start[k+1]], in input order, so no event is
+// copied. Each event costs one map lookup, which finds its ID's index in
+// order of first appearance; once the IDs are sorted, that index maps to
+// the ID's rank.
+func bucketByProcess(events []Event) (ids []string, order, start []int) {
+	first := map[string]int{}      // ID -> its index in order of first appearance
+	of := make([]int, len(events)) // events[i]'s ID by that index, then by rank
+	for i := range events {
+		id := events[i].ProcessID
+		k, ok := first[id]
+		if !ok {
+			k = len(ids)
+			first[id] = k
+			ids = append(ids, id)
+		}
+		of[i] = k
+	}
+	slices.Sort(ids)
+	rank := make([]int, len(ids)) // first-appearance index -> rank in ids
+	for r, id := range ids {
+		rank[first[id]] = r
+	}
+	start = make([]int, len(ids)+1)
+	for i, k := range of {
+		of[i] = rank[k]
+		start[of[i]+1]++
+	}
+	for k := range ids {
+		start[k+1] += start[k]
+	}
+	next := slices.Clone(start[:len(ids)])
+	order = make([]int, len(events))
+	for i, k := range of {
+		order[next[k]] = i
+		next[k]++
+	}
+	return ids, order, start
 }

@@ -2,6 +2,7 @@ package wlog
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -176,6 +177,86 @@ func TestAssembleWithFailFastMatchesAssemble(t *testing.T) {
 	}
 	if _, err2 := Assemble(events); err2 == nil || err.Error() != err2.Error() {
 		t.Errorf("FailFast mismatch: %v vs %v", err, err2)
+	}
+}
+
+// tiedSteps returns the STARTs of activities a1, b1, ..., a10, b10 of
+// execution pid, where a<t> and b<t> start at time t, listed from t=10
+// down to t=1: out of time order, with ties inside each t.
+func tiedSteps(pid string) []Event {
+	var out []Event
+	for t := int64(10); t >= 1; t-- {
+		out = append(out, ev(pid, fmt.Sprint("a", t), Start, t), ev(pid, fmt.Sprint("b", t), Start, t))
+	}
+	return out
+}
+
+// wantTiedOrder is the step order tiedSteps must settle into: by start
+// time, and ties in the order they were listed.
+func wantTiedOrder() string {
+	var b strings.Builder
+	for t := 1; t <= 10; t++ {
+		fmt.Fprintf(&b, "a%d,b%d,", t, t)
+	}
+	return strings.TrimSuffix(b.String(), ",")
+}
+
+// TestAssembleWithSortsBucketsStably lists an execution's events out of
+// time order, each END at its START's time and listed after it:
+// AssembleWith must sort the bucket stably, or an END would come before
+// its START, and must agree with the oracle.
+func TestAssembleWithSortsBucketsStably(t *testing.T) {
+	var events []Event
+	for _, st := range tiedSteps("p1") {
+		end := st
+		end.Type = End
+		events = append(events, st, end, ev("p0", st.Activity, Start, 100-st.Time.UnixNano()))
+	}
+	for _, st := range tiedSteps("p0") {
+		events = append(events, ev("p0", st.Activity, End, 100+st.Time.UnixNano()))
+	}
+	got, _, err := AssembleWith(events, IngestOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := OracleAssembleWith(events, IngestOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("log %v, oracle %v", got.Executions, want.Executions)
+	}
+	if s := got.Executions[1].String(); s != wantTiedOrder() {
+		t.Fatalf("p1 = %s, want %s", s, wantTiedOrder())
+	}
+}
+
+// TestExecutionStreamSettleOrdersSteps pushes STARTs out of time order, as
+// a live trail may: the emitted execution lists its steps by start time,
+// ties in push order.
+func TestExecutionStreamSettleOrdersSteps(t *testing.T) {
+	var got []Execution
+	s := NewExecutionStream(func(e Execution) error {
+		got = append(got, e)
+		return nil
+	})
+	starts := tiedSteps("p")
+	for _, st := range starts {
+		if err := s.Push(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range starts {
+		st.Type, st.Time = End, st.Time.Add(time.Hour)
+		if err := s.Push(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].String() != wantTiedOrder() {
+		t.Fatalf("emitted %v, want one execution %s", got, wantTiedOrder())
 	}
 }
 

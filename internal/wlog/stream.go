@@ -5,10 +5,14 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // StreamText reads the text-log format one event at a time, calling fn for
@@ -28,15 +32,15 @@ func StreamTextWith(r io.Reader, opts IngestOptions, rep *IngestReport, fn func(
 	rep = ensureReport(rep, opts)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	d := textDecoder{names: map[string]string{}}
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		if !d.split(sc.Bytes()) {
 			continue
 		}
 		rep.RecordsRead++
-		ev, err := parseTextLine(line)
+		ev, err := d.event()
 		if err != nil {
 			if !opts.lenient() {
 				return rep, fmt.Errorf("wlog: line %d: %w", lineno, err)
@@ -57,34 +61,168 @@ func StreamTextWith(r io.Reader, opts IngestOptions, rep *IngestReport, fn func(
 	return rep, nil
 }
 
-// parseTextLine decodes one text-codec line.
-func parseTextLine(line string) (Event, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return Event{}, fmt.Errorf("need at least 4 fields, got %d", len(fields))
+// maxTextNames caps a textDecoder's name table; a full table is emptied
+// before the next name goes in, so a long trail cannot grow it.
+const maxTextNames = 1 << 16
+
+// textDecoder decodes text-codec lines in place, from the scanner's bytes.
+// Each line is cut into fields and parsed without building a string per
+// line or per number; process IDs and activities are shared through names,
+// one string per distinct name, so the events of a trail do not each
+// carry their own copies.
+type textDecoder struct {
+	line   []byte
+	fields []span            // the current line's fields
+	names  map[string]string // name table, at most maxTextNames entries
+}
+
+// span is one field of the current line, line[lo:hi]. Offsets rather than
+// slices keep pointers, and so GC write barriers, out of the per-field
+// bookkeeping.
+type span struct{ lo, hi int }
+
+// field returns the k-th field of the current line.
+func (d *textDecoder) field(k int) []byte { return d.line[d.fields[k].lo:d.fields[k].hi] }
+
+// split cuts line into fields exactly where strings.Fields would: at ASCII
+// whitespace, and at every non-ASCII rune unicode.IsSpace accepts (invalid
+// UTF-8 decodes as utf8.RuneError, which is not a space). It reports false
+// for a blank line and for a comment, whose first field starts with '#'.
+func (d *textDecoder) split(line []byte) bool {
+	d.line, d.fields = line, d.fields[:0]
+	lo := -1 // start of the field being read, -1 between fields
+	for i := 0; i < len(line); {
+		if printable(line[i]) {
+			// By far the commonest case: a run of a field's ASCII bytes.
+			if lo < 0 {
+				lo = i
+			}
+			for i++; i < len(line) && printable(line[i]); i++ {
+			}
+			continue
+		}
+		c, size, space := line[i], 1, false
+		if c < utf8.RuneSelf {
+			space = asciiSpaces>>c&1 != 0
+		} else {
+			var r rune
+			r, size = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case space && lo >= 0:
+			d.fields = append(d.fields, span{lo, i})
+			lo = -1
+		case !space && lo < 0:
+			lo = i
+		}
+		i += size
 	}
-	typ, err := ParseEventType(fields[2])
-	if err != nil {
-		return Event{}, err
+	if lo >= 0 {
+		d.fields = append(d.fields, span{lo, len(line)})
 	}
-	ns, err := strconv.ParseInt(fields[3], 10, 64)
-	if err != nil {
-		return Event{}, fmt.Errorf("bad timestamp %q: %w", fields[3], err)
+	return len(d.fields) > 0 && line[d.fields[0].lo] != '#'
+}
+
+// printable reports whether c is ASCII and neither a space nor a control
+// byte, so it always belongs to a field.
+func printable(c byte) bool { return c-'!' < utf8.RuneSelf-'!' }
+
+// asciiSpaces has bit c set for each byte c below '!' that strings.Fields
+// splits at.
+const asciiSpaces uint64 = 1<<'\t' | 1<<'\n' | 1<<'\v' | 1<<'\f' | 1<<'\r' | 1<<' '
+
+// event decodes the fields of the current line:
+//
+//	<process> <activity> START|END <unix-nanos> [<out0> <out1> ...]
+//
+// Checks run in field order, and every error reads as strconv's and
+// ParseEventType's own, because on any input the fast paths do not accept
+// those functions judge it.
+func (d *textDecoder) event() (Event, error) {
+	if len(d.fields) < 4 {
+		return Event{}, fmt.Errorf("need at least 4 fields, got %d", len(d.fields))
 	}
-	ev := Event{
-		ProcessID: fields[0],
-		Activity:  fields[1],
+	var typ EventType
+	switch f := d.field(2); {
+	case string(f) == "START":
+		typ = Start
+	case string(f) == "END":
+		typ = End
+	default:
+		var err error
+		if typ, err = ParseEventType(string(f)); err != nil {
+			return Event{}, err
+		}
+	}
+	f := d.field(3)
+	ns, ok := parseDigits(f)
+	if !ok {
+		v, err := strconv.ParseInt(string(f), 10, 64)
+		if err != nil {
+			return Event{}, fmt.Errorf("bad timestamp %q: %w", f, err)
+		}
+		ns = v
+	}
+	var out Output
+	if len(d.fields) > 4 {
+		out = make(Output, len(d.fields)-4)
+		for i := range out {
+			f := d.field(4 + i)
+			// Where int is 32 bits, Atoi judges what overflows it.
+			v, ok := parseDigits(f)
+			if ok && int64(int(v)) == v {
+				out[i] = int(v)
+				continue
+			}
+			x, err := strconv.Atoi(string(f))
+			if err != nil {
+				return Event{}, fmt.Errorf("bad output value %q: %w", f, err)
+			}
+			out[i] = x
+		}
+	}
+	return Event{
+		ProcessID: d.name(d.field(0)),
+		Activity:  d.name(d.field(1)),
 		Type:      typ,
 		Time:      time.Unix(0, ns).UTC(),
+		Output:    out,
+	}, nil
+}
+
+// name returns the shared string for b, adding it to the name table.
+func (d *textDecoder) name(b []byte) string {
+	if s, ok := d.names[string(b)]; ok {
+		return s
 	}
-	for _, f := range fields[4:] {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return Event{}, fmt.Errorf("bad output value %q: %w", f, err)
+	if len(d.names) == maxTextNames {
+		clear(d.names)
+	}
+	s := string(b)
+	d.names[s] = s
+	return s
+}
+
+// parseDigits parses b when it is 1 to 19 ASCII digits with a value that
+// fits an int64, the only form WriteText produces for a non-negative
+// number. It reports false for anything else (a sign, more digits, any
+// other byte), which the caller hands to strconv.
+func parseDigits(b []byte) (int64, bool) {
+	if len(b) == 0 || len(b) > 19 {
+		return 0, false
+	}
+	var n uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
 		}
-		ev.Output = append(ev.Output, v)
+		n = n*10 + uint64(c-'0')
 	}
-	return ev, nil
+	if n > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(n), true
 }
 
 // ExecutionStream groups a stream of events into executions: each END is
@@ -111,6 +249,11 @@ type ExecutionStream struct {
 	opts IngestOptions
 	rep  *IngestReport
 	seq  int // Push counter; streamExec.lastSeq orders evictions
+
+	// stepsHint is the step capacity a newly opened execution starts with.
+	// AssembleWith sets it from the size of each bucket: n events with
+	// every START ended make n/2 steps.
+	stepsHint int
 }
 
 // streamExec is one open execution. A step is open while its End is the
@@ -249,7 +392,7 @@ func (s *ExecutionStream) Push(ev Event) error {
 					return err
 				}
 			}
-			se = &streamExec{lastSeq: s.seq}
+			se = &streamExec{steps: make([]Step, 0, s.stepsHint), lastSeq: s.seq}
 			s.open[ev.ProcessID] = se
 		}
 		se.steps = append(se.steps, Step{Activity: ev.Activity, Start: ev.Time})
@@ -351,9 +494,11 @@ func (s *ExecutionStream) settle(id string) error {
 	if len(se.steps) == 0 {
 		return nil
 	}
-	steps := se.steps
-	sort.SliceStable(steps, func(i, j int) bool { return steps[i].Start.Before(steps[j].Start) })
-	return s.emit(Execution{ID: id, Steps: steps})
+	byStart := func(a, b Step) int { return a.Start.Compare(b.Start) }
+	if !slices.IsSortedFunc(se.steps, byStart) {
+		slices.SortStableFunc(se.steps, byStart)
+	}
+	return s.emit(Execution{ID: id, Steps: se.steps})
 }
 
 // stuckError is the FailFast error for open executions that cannot settle:

@@ -3,6 +3,8 @@ package wlog
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,47 @@ func TestStreamTextCallbackError(t *testing.T) {
 func TestStreamTextBadLine(t *testing.T) {
 	if err := StreamText(strings.NewReader("p A NOPE 1\n"), func(Event) error { return nil }); err == nil {
 		t.Fatal("bad line accepted")
+	}
+}
+
+// TestTextNameTableCapped streams more distinct process IDs than the
+// decoder's name table holds, then names early IDs again after the table
+// has been emptied: the table never grows past maxTextNames, and every
+// event decodes exactly as the oracle decodes it.
+func TestTextNameTableCapped(t *testing.T) {
+	n := maxTextNames + maxTextNames/2
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "p%d A%d START %d\n", i, i%7, i)
+	}
+	for i := 0; i < n; i += 997 {
+		fmt.Fprintf(&b, "p%d A%d END %d %d\n", i, i%7, n+i, i)
+	}
+	text := b.String()
+
+	d := textDecoder{names: map[string]string{}}
+	for _, line := range strings.Split(text, "\n") {
+		if !d.split([]byte(line)) {
+			continue
+		}
+		if _, err := d.event(); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if len(d.names) > maxTextNames {
+			t.Fatalf("name table holds %d names, cap %d", len(d.names), maxTextNames)
+		}
+	}
+
+	got, err := ReadText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := OracleReadTextWith(strings.NewReader(text), IngestOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n+(n+996)/997 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %d events unlike the oracle's %d", len(got), len(want))
 	}
 }
 

@@ -21,7 +21,7 @@ var (
 // unique execution IDs, non-negative step durations, and steps in start-time
 // order. It returns the first violation found, wrapped with context.
 func (l *Log) Validate() error {
-	seen := map[string]bool{}
+	seen := make(map[string]bool, len(l.Executions))
 	for _, e := range l.Executions {
 		if seen[e.ID] {
 			return fmt.Errorf("%w: %q", ErrDuplicateID, e.ID)
