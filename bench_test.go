@@ -193,46 +193,6 @@ func BenchmarkConditionsLearning(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-// BenchmarkAblationTransitiveReduction compares the Appendix Algorithm 4
-// bitset reduction against the naive per-edge reachability baseline.
-func BenchmarkAblationTransitiveReduction(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{50, 150} {
-		g := randomDenseDAG(rng, n, 0.4)
-		b.Run(fmt.Sprintf("algo4/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := g.TransitiveReduction(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("naive/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.TransitiveReductionNaive(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func randomDenseDAG(rng *rand.Rand, n int, p float64) *graph.Digraph {
-	g := graph.New()
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("v%03d", i)
-		g.AddVertex(names[i])
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < p {
-				g.AddEdge(names[i], names[j])
-			}
-		}
-	}
-	return g
-}
-
 // BenchmarkAblationAlg1VsAlg2 compares Algorithm 1 against Algorithm 2 on a
 // special-form log (where both apply): Algorithm 1 skips the per-execution
 // marking pass and should win.

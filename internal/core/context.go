@@ -208,17 +208,11 @@ func mine(ctx context.Context, l *wlog.Log, opt Options, alg algorithm, diag *Di
 	}
 
 	sp = tr.Start("mark")
-	marked, err := markRequired(ctx, g, col)
+	sr, marked, err := markRequired(ctx, g, col)
 	if err != nil {
 		return nil, err
 	}
-	unmarked := 0
-	for _, e := range g.Edges() {
-		if !marked[e] {
-			g.RemoveEdge(e.From, e.To)
-			unmarked++
-		}
-	}
+	unmarked := sr.PruneUnmarked(marked)
 	sp.End()
 
 	sp = tr.Start("reduce")

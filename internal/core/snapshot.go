@@ -229,7 +229,7 @@ func (im *IncrementalMiner) MineTracedContext(ctx context.Context, opt Options, 
 	// the signature map directly is deterministic.
 	n := sr.N()
 	sc := sr.NewMarkScratch()
-	markedBits := graph.NewBitset(n * n)
+	marked := graph.NewBitset(n * n)
 	for _, set := range im.sigs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -240,14 +240,9 @@ func (im *IncrementalMiner) MineTracedContext(ctx context.Context, opt Options, 
 				sc.Members = append(sc.Members, i)
 			}
 		}
-		sr.MarkSubsetInto(sc.Members, sc, markedBits)
+		sr.MarkSubsetInto(sc.Members, sc, marked)
 	}
-	marked := markedToEdges(g, markedBits)
-	for _, e := range g.Edges() {
-		if !marked[e] {
-			g.RemoveEdge(e.From, e.To)
-		}
-	}
+	sr.PruneUnmarked(marked)
 	sp.End()
 	sp = tr.Start("merge")
 	g = MergeInstances(g)

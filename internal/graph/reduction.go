@@ -12,74 +12,24 @@ import "fmt"
 //  3. A successor of v that is also reachable through another successor is a
 //     shortcut; remove it from succ(v).
 //
-// The input graph is not modified. It returns ErrCyclic (wrapped) when g is
-// not a DAG, since a graph with cycles has no unique transitive reduction.
+// It is SubsetReducer.MarkSubsetInto's sweep with every vertex a member, so
+// Algorithm 1, Algorithm 4 and Algorithm 2's per-signature marking share one
+// kernel. The input graph is not modified. It returns ErrCyclic (wrapped)
+// when g is not a DAG, since a graph with cycles has no unique transitive
+// reduction.
 func (g *Digraph) TransitiveReduction() (*Digraph, error) {
-	order, err := g.TopoSort()
+	r, err := newSubsetReducer(g)
 	if err != nil {
 		return nil, fmt.Errorf("transitive reduction: %w", err)
 	}
-	n := g.NumVertices()
+	marked := NewBitset(r.n * r.n)
+	r.MarkSubsetInto(r.order, r.NewMarkScratch(), marked)
 	red := New()
 	for _, v := range g.label {
 		red.AddVertex(v)
 	}
-	// desc[u] = vertices reachable from u via the (already reduced) suffix.
-	desc := make([]*Bitset, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		u := g.index[order[i]]
-		// Union of descendants of all successors = everything reachable from
-		// u through at least two edges.
-		through := NewBitset(n)
-		for v := range g.succ[u] {
-			through.Or(desc[v])
-		}
-		d := through.Copy()
-		for v := range g.succ[u] {
-			if through.Has(v) {
-				// v is reachable via another successor: the edge u->v is a
-				// shortcut and is dropped (Lemma 7: an edge stays iff it is
-				// the only path from u to v).
-				continue
-			}
-			red.AddEdge(g.label[u], g.label[v])
-			d.Set(v)
-		}
-		desc[u] = d
+	for _, c := range marked.Elements() {
+		red.AddEdge(g.label[c/r.n], g.label[c%r.n])
 	}
 	return red, nil
-}
-
-// TransitiveReductionNaive is the O(E * (V+E)) baseline used by the ablation
-// benchmark: for each edge (u,v), temporarily delete it and test whether v is
-// still reachable from u; if so the edge is redundant. Only valid for DAGs.
-// Production code uses TransitiveReduction (Algorithm 4); this exists to
-// quantify that choice.
-func TransitiveReductionNaive(g *Digraph) (*Digraph, error) {
-	if !g.IsDAG() {
-		return nil, fmt.Errorf("transitive reduction (naive): %w", ErrCyclic)
-	}
-	red := g.Clone()
-	for _, e := range g.Edges() {
-		red.RemoveEdge(e.From, e.To)
-		if !red.Reachable(e.From, e.To) {
-			red.AddEdge(e.From, e.To)
-		}
-	}
-	return red, nil
-}
-
-// ReduceInPlace replaces g's edge set with its transitive reduction.
-// It returns ErrCyclic (wrapped) when g is not a DAG.
-func (g *Digraph) ReduceInPlace() error {
-	red, err := g.TransitiveReduction()
-	if err != nil {
-		return err
-	}
-	for _, e := range g.Edges() {
-		if !red.HasEdge(e.From, e.To) {
-			g.RemoveEdge(e.From, e.To)
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -77,22 +78,6 @@ func TestTransitiveReductionCyclicError(t *testing.T) {
 	}
 	if _, err := TransitiveReductionNaive(g); !errors.Is(err, ErrCyclic) {
 		t.Fatalf("naive err = %v, want ErrCyclic", err)
-	}
-	if err := g.ReduceInPlace(); !errors.Is(err, ErrCyclic) {
-		t.Fatalf("ReduceInPlace err = %v, want ErrCyclic", err)
-	}
-}
-
-func TestReduceInPlace(t *testing.T) {
-	g := NewFromEdges(Edge{"A", "B"}, Edge{"B", "C"}, Edge{"A", "C"})
-	if err := g.ReduceInPlace(); err != nil {
-		t.Fatalf("ReduceInPlace: %v", err)
-	}
-	if g.HasEdge("A", "C") {
-		t.Fatal("shortcut A->C survived ReduceInPlace")
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
 	}
 }
 
@@ -215,5 +200,41 @@ func TestSameClosure(t *testing.T) {
 	d := NewFromEdges(Edge{"A", "B"}, Edge{"C", "B"})
 	if b.SameClosure(d) {
 		t.Error("different closures reported same")
+	}
+}
+
+// BenchmarkAblationTransitiveReduction compares the Appendix Algorithm 4
+// sweep (TransitiveReduction, the member-only kernel with every vertex a
+// member) against the naive per-edge reachability oracle.
+func BenchmarkAblationTransitiveReduction(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{50, 150} {
+		g := New()
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("v%03d", i)
+			g.AddVertex(names[i])
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < 0.4 {
+					g.AddEdge(names[i], names[j])
+				}
+			}
+		}
+		b.Run(fmt.Sprintf("algo4/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := g.TransitiveReduction(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("naive/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := TransitiveReductionNaive(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,125 +2,80 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // SubsetReducer answers repeated induced-subgraph transitive-reduction
 // queries against one fixed DAG. Algorithm 2's marking pass (and the
 // incremental miner's replay of it) computes the transitive reduction of
 // the dependency graph's induced subgraph once per distinct activity-set
-// signature; building a fresh Digraph and re-running the topological sort
-// for every signature dominated that pass. The reducer computes the full
-// graph's reachability bookkeeping once — the topological order and a dense
-// successor array over the shared index space — and reuses it for every
-// subset: the restriction of a DAG's topological order to any vertex subset
-// is a valid topological order of the induced subgraph, so each query runs
-// Algorithm 4's reverse sweep directly on the shared dense indices with no
-// per-query graph construction or sorting.
+// signature. The reducer computes the full graph's bookkeeping once — each
+// vertex's rank in a topological order and one successor bitset row per
+// vertex over the shared dense index space — and reuses it for every
+// subset: the restriction of a DAG's topological order to any vertex
+// subset is a valid topological order of the induced subgraph, so each
+// query runs Algorithm 4's reverse sweep over the subset's members alone,
+// with no per-query graph construction.
 //
 // The reducer holds a reference to g; g must not be mutated while the
-// reducer is in use. ReduceSubset allocates only per-call scratch and is
-// safe for concurrent use from multiple goroutines.
+// reducer is in use, except through PruneUnmarked. Queries with distinct
+// scratches are safe for concurrent use from multiple goroutines.
 type SubsetReducer struct {
 	g     *Digraph
 	n     int
-	order []int   // dense vertex indices in topological order
-	succ  [][]int // dense successor lists, sorted for deterministic sweeps
+	words int      // ⌈n/64⌉, the length of one row
+	rank  []int    // rank[v] = v's position in the topological order
+	order []int    // order[i] = the vertex of rank i
+	rows  []uint64 // n rows × words, flat; row u holds the successors of u
 }
 
-// NewSubsetReducer precomputes the topological order and dense adjacency of
+// NewSubsetReducer precomputes the topological ranks and successor rows of
 // g. It returns ErrCyclic (wrapped) when g is not a DAG, since induced
 // subgraphs of a cyclic graph have no unique transitive reduction in
 // general.
 func NewSubsetReducer(g *Digraph) (*SubsetReducer, error) {
-	labels, err := g.TopoSort()
+	r, err := newSubsetReducer(g)
 	if err != nil {
 		return nil, fmt.Errorf("subset reducer: %w", err)
-	}
-	n := g.NumVertices()
-	r := &SubsetReducer{g: g, n: n, order: make([]int, n), succ: make([][]int, n)}
-	for i, v := range labels {
-		r.order[i] = g.index[v]
-	}
-	for u := 0; u < n; u++ {
-		if len(g.succ[u]) == 0 {
-			continue
-		}
-		s := make([]int, 0, len(g.succ[u]))
-		for v := range g.succ[u] {
-			s = append(s, v)
-		}
-		sort.Ints(s)
-		r.succ[u] = s
 	}
 	return r, nil
 }
 
-// ReduceSubset returns the edges of the transitive reduction of the
-// subgraph of g induced by the given vertex labels, sorted by (From, To).
-// Labels absent from g are ignored, matching InducedSubgraph. The result
-// equals InducedSubgraph(members).TransitiveReduction().Edges() for every
-// subset.
-func (r *SubsetReducer) ReduceSubset(members []string) []Edge {
-	member := NewBitset(r.n)
-	any := false
-	for _, v := range members {
-		if i, ok := r.g.index[v]; ok {
-			member.Set(i)
-			any = true
+// newSubsetReducer is NewSubsetReducer with TopoSort's error left for the
+// caller to wrap in its own operation's name.
+func newSubsetReducer(g *Digraph) (*SubsetReducer, error) {
+	labels, err := g.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	n := g.NumVertices()
+	w := (n + 63) / 64
+	r := &SubsetReducer{g: g, n: n, words: w, rank: make([]int, n), order: make([]int, n), rows: make([]uint64, n*w)}
+	for i, v := range labels {
+		u := g.index[v]
+		r.order[i], r.rank[u] = u, i
+	}
+	for u, succ := range g.succ {
+		row := r.rows[u*w : (u+1)*w]
+		for v := range succ {
+			row[v>>6] |= 1 << (uint(v) & 63)
 		}
 	}
-	if !any {
-		return nil
-	}
-	// Algorithm 4's reverse-topological sweep restricted to the member set:
-	// desc[u] accumulates the members reachable from u inside the subgraph,
-	// and a successor already reachable through another successor is a
-	// shortcut.
-	desc := make([]*Bitset, r.n)
-	var edges []Edge
-	for i := r.n - 1; i >= 0; i-- {
-		u := r.order[i]
-		if !member.Has(u) {
-			continue
-		}
-		through := NewBitset(r.n)
-		for _, v := range r.succ[u] {
-			if member.Has(v) && desc[v] != nil {
-				through.Or(desc[v])
-			}
-		}
-		d := through.Copy()
-		for _, v := range r.succ[u] {
-			if !member.Has(v) || through.Has(v) {
-				continue
-			}
-			edges = append(edges, Edge{From: r.g.label[u], To: r.g.label[v]})
-			d.Set(v)
-		}
-		desc[u] = d
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	return edges
+	return r, nil
 }
 
 // MarkScratch is the reusable working state of MarkSubsetInto: the member
-// bitset, one descendant row per vertex (flat), and a members buffer for
-// callers that translate label or interner IDs into dense indices. One
-// scratch serves one goroutine; allocate one per worker with NewMarkScratch
-// and reuse it across queries — MarkSubsetInto itself never allocates,
-// which is what keeps the Algorithm 2 marking kernel on the //procmine:hot
-// path allocation-free.
+// bitset, one descendant row per vertex (flat), a rank buffer, and a
+// members buffer for callers that translate label or interner IDs into
+// dense indices. One scratch serves one goroutine; allocate one per worker
+// with NewMarkScratch and reuse it across queries — MarkSubsetInto itself
+// never allocates, which is what keeps the Algorithm 2 marking kernel on
+// the //procmine:hot path allocation-free.
 type MarkScratch struct {
-	member  *Bitset
-	through []uint64 // one descendant row
-	desc    []uint64 // n rows × words, flat; row u = desc[u*words:(u+1)*words]
-	words   int
+	member []uint64 // the current query's members; empty between queries
+	desc   []uint64 // n rows × words, flat; row u = desc[u*words:(u+1)*words]
+	ranks  []int    // capacity n: the current query's topological ranks
 	// Members is a caller-owned buffer of capacity n for assembling the
 	// dense member indices of a query without allocating.
 	Members []int
@@ -129,67 +84,94 @@ type MarkScratch struct {
 // NewMarkScratch allocates scratch for MarkSubsetInto queries against this
 // reducer's graph.
 func (r *SubsetReducer) NewMarkScratch() *MarkScratch {
-	words := (r.n + 63) / 64
 	return &MarkScratch{
-		member:  NewBitset(r.n),
-		through: make([]uint64, words),
-		desc:    make([]uint64, r.n*words),
-		words:   words,
+		member:  make([]uint64, r.words),
+		desc:    make([]uint64, r.n*r.words),
+		ranks:   make([]int, r.n),
 		Members: make([]int, 0, r.n),
 	}
 }
 
 // MarkSubsetInto computes the transitive reduction of the subgraph induced
 // by the given dense vertex indices and sets, for each reduction edge
-// (u, v), bit u*n+v of marked (capacity n²). It is the allocation-free,
-// index-space form of ReduceSubset: the same Algorithm 4 reverse sweep over
-// the shared topological order, writing into caller-owned state instead of
-// materializing an edge slice. Out-of-range indices are ignored. Multiple
+// (u, v), bit u*n+v of marked (capacity n²). It runs Algorithm 4's reverse
+// sweep over the members alone, in descending topological rank: u's
+// member successors are its row ANDed with the member set; those reachable
+// through another member successor — the OR of their descendant rows — are
+// shortcuts, and the rest are marked. A query of k members over a graph of
+// n vertices costs O(k log k + Σ_{u∈S} w·(1 + |succ(u)∩S|)) with
+// w = ⌈n/64⌉. Out-of-range and duplicate indices are ignored. Multiple
 // goroutines may query concurrently with distinct scratches and marked
 // sets; marked sets merge with Bitset.Or since each query only sets bits.
 func (r *SubsetReducer) MarkSubsetInto(members []int, sc *MarkScratch, marked *Bitset) {
-	sc.member.Reset()
-	any := false
+	member, ranks, w := sc.member, sc.ranks, r.words
+	k := 0
 	for _, v := range members {
-		if v >= 0 && v < r.n {
-			sc.member.Set(v)
-			any = true
-		}
-	}
-	if !any {
-		return
-	}
-	w := sc.words
-	for i := r.n - 1; i >= 0; i-- {
-		u := r.order[i]
-		if !sc.member.Has(u) {
+		if v < 0 || v >= r.n || member[v>>6]&(1<<(uint(v)&63)) != 0 {
 			continue
 		}
-		through := sc.through
-		for k := range through {
-			through[k] = 0
-		}
-		// Member successors appear after u in topological order, so their
-		// descendant rows were rewritten earlier in this sweep — rows from
-		// previous queries are never read.
-		for _, v := range r.succ[u] {
-			if sc.member.Has(v) {
-				row := sc.desc[v*w : (v+1)*w]
-				for k := range through {
-					through[k] |= row[k]
+		member[v>>6] |= 1 << (uint(v) & 63)
+		ranks[k] = r.rank[v]
+		k++
+	}
+	slices.Sort(ranks[:k])
+	for i := k - 1; i >= 0; i-- {
+		u := r.order[ranks[i]]
+		row, desc := r.rows[u*w:(u+1)*w], sc.desc[u*w:(u+1)*w]
+		// Member successors rank above u, so their descendant rows were
+		// rewritten earlier in this sweep — rows from previous queries are
+		// never read.
+		clear(desc)
+		for j, word := range row {
+			for cand := word & member[j]; cand != 0; cand &= cand - 1 {
+				v := j<<6 | bits.TrailingZeros64(cand)
+				for x, d := range sc.desc[v*w : (v+1)*w] {
+					desc[x] |= d
 				}
 			}
 		}
-		drow := sc.desc[u*w : (u+1)*w]
-		copy(drow, through)
-		for _, v := range r.succ[u] {
-			if !sc.member.Has(v) || through[v>>6]&(1<<(uint(v)&63)) != 0 {
-				continue
+		// desc now holds everything reachable from u through at least two
+		// edges; a member successor outside it is the only path from u to
+		// it (Lemma 7), so its edge stays.
+		for j, word := range row {
+			cand := word & member[j]
+			for keep := cand &^ desc[j]; keep != 0; keep &= keep - 1 {
+				marked.Set(u*r.n + (j<<6 | bits.TrailingZeros64(keep)))
 			}
-			marked.Set(u*r.n + v)
-			drow[v>>6] |= 1 << (uint(v) & 63)
+			desc[j] |= cand
 		}
 	}
+	for _, rk := range ranks[:k] {
+		v := r.order[rk]
+		member[v>>6] &^= 1 << (uint(v) & 63)
+	}
+}
+
+// PruneUnmarked removes from the reducer's graph every edge (u, v) whose
+// bit u*n+v is unset in marked — Algorithm 2's step 6 — and returns how
+// many it removed. It walks the successor rows, not the graph's maps, and
+// drops the removed edges from the rows too, so the reducer stays valid for
+// the pruned graph.
+func (r *SubsetReducer) PruneUnmarked(marked *Bitset) int {
+	g, w := r.g, r.words
+	removed := 0
+	for u := 0; u < r.n; u++ {
+		row := r.rows[u*w : (u+1)*w]
+		for j, word := range row {
+			for x := word; x != 0; x &= x - 1 {
+				v := j<<6 | bits.TrailingZeros64(x)
+				if marked.Has(u*r.n + v) {
+					continue
+				}
+				delete(g.succ[u], v)
+				delete(g.pred[v], u)
+				row[j] &^= 1 << (uint(v) & 63)
+				removed++
+			}
+		}
+	}
+	g.edges -= removed
+	return removed
 }
 
 // N returns the dense vertex count of the reducer's graph — the dimension

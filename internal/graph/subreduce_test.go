@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -9,13 +10,14 @@ import (
 	"testing/quick"
 )
 
-// oracleReduceSubset is the pre-SubsetReducer implementation of a subset
-// reduction query: build the induced subgraph, reduce it from scratch.
+// oracleReduceSubset answers a subset reduction query the slow way: build
+// the induced subgraph and reduce it by per-edge reachability, with no code
+// shared with the Algorithm 4 sweep.
 func oracleReduceSubset(t *testing.T, g *Digraph, members []string) []Edge {
 	t.Helper()
-	red, err := g.InducedSubgraph(members).TransitiveReduction()
+	red, err := TransitiveReductionNaive(g.InducedSubgraph(members))
 	if err != nil {
-		t.Fatalf("oracle TransitiveReduction: %v", err)
+		t.Fatalf("oracle TransitiveReductionNaive: %v", err)
 	}
 	return red.Edges()
 }
@@ -61,13 +63,16 @@ func TestSubsetReducerFullSetMatchesTransitiveReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sr.ReduceSubset(g.Vertices())
+	want := oracleReduceSubset(t, g, g.Vertices())
 	red, err := g.TransitiveReduction()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, red.Edges()) {
-		t.Fatalf("full-set reduction = %v, want %v", got, red.Edges())
+	if !reflect.DeepEqual(red.Edges(), want) {
+		t.Fatalf("TransitiveReduction = %v, want %v", red.Edges(), want)
+	}
+	if got := sr.ReduceSubset(g.Vertices()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("full-set reduction = %v, want %v", got, want)
 	}
 }
 
@@ -192,7 +197,8 @@ func TestSubsetReducerRejectsCyclicGraph(t *testing.T) {
 }
 
 // TestSubsetReducerConcurrent exercises the documented concurrency contract:
-// one reducer, many goroutines, all answers correct. Run with -race.
+// one reducer, many goroutines each with its own scratch and marked set, all
+// answers correct. Run with -race.
 func TestSubsetReducerConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := randomDAG(rng, 14, 0.35)
@@ -215,7 +221,14 @@ func TestSubsetReducerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = sr.ReduceSubset(subsets[i])
+			sc := sr.NewMarkScratch()
+			for _, v := range subsets[i] {
+				j, _ := g.VertexIndex(v)
+				sc.Members = append(sc.Members, j)
+			}
+			marked := NewBitset(sr.N() * sr.N())
+			sr.MarkSubsetInto(sc.Members, sc, marked)
+			results[i] = markedEdges(g, marked)
 		}(i)
 	}
 	wg.Wait()
@@ -229,4 +242,117 @@ func TestSubsetReducerConcurrent(t *testing.T) {
 			t.Fatalf("subset %v: concurrent reduction = %v, want %v", subsets[i], got, want)
 		}
 	}
+}
+
+// TestPruneUnmarked checks that pruning drops exactly the unmarked edges
+// from both adjacency directions and the edge count, and that the reducer
+// then answers queries on the pruned graph.
+func TestPruneUnmarked(t *testing.T) {
+	g := NewFromEdges(Edge{"A", "B"}, Edge{"B", "C"}, Edge{"A", "C"}, Edge{"C", "D"})
+	sr, err := NewSubsetReducer(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := func(v string) int { i, _ := g.VertexIndex(v); return i }
+	marked := NewBitset(sr.N() * sr.N())
+	sc := sr.NewMarkScratch()
+	sr.MarkSubsetInto([]int{idx("A"), idx("B"), idx("C")}, sc, marked)
+	if removed := sr.PruneUnmarked(marked); removed != 2 {
+		t.Fatalf("PruneUnmarked removed %d edges, want 2 (A->C, C->D)", removed)
+	}
+	want := []Edge{{"A", "B"}, {"B", "C"}}
+	if got := g.Edges(); !reflect.DeepEqual(got, want) || g.NumEdges() != 2 {
+		t.Fatalf("pruned edges = %v (NumEdges %d), want %v", got, g.NumEdges(), want)
+	}
+	if g.InDegree("C") != 1 || g.InDegree("D") != 0 {
+		t.Fatalf("pred maps not pruned: InDegree(C)=%d InDegree(D)=%d", g.InDegree("C"), g.InDegree("D"))
+	}
+	after := NewBitset(sr.N() * sr.N())
+	sr.MarkSubsetInto([]int{idx("A"), idx("C"), idx("D")}, sc, after)
+	if got := markedEdges(g, after); len(got) != 0 {
+		t.Fatalf("query on the pruned graph marked %v, want none", got)
+	}
+}
+
+// FuzzMarkSubsetInto holds the member-only sweep to the naive per-edge
+// reachability oracle. Each input draws a DAG of 1-200 vertices whose dense
+// indices are not in topological order (rows of 1-4 words), then runs a
+// sequence of up to 64 queries through one scratch into one marked set:
+// byte 255 ends a query, and any other byte b is the member index b-1, so
+// members include duplicates, -1 and indices at or past n. After every
+// query the marked set must equal the union of the oracle's reductions so
+// far, and the scratch's member set must be empty again — a leaked bit
+// would corrupt the next signature without failing any single-query test.
+func FuzzMarkSubsetInto(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(40), []byte{1, 1, 0})
+	f.Add(int64(2), uint8(4), uint8(90), []byte{1, 2, 3, 4, 5, 255, 5, 3, 3, 0, 254, 255, 2, 4})
+	f.Add(int64(3), uint8(63), uint8(30), []byte{1, 10, 20, 30, 40, 50, 60, 64, 65, 255, 64, 10, 1})
+	f.Add(int64(4), uint8(64), uint8(20), []byte{65, 66, 1, 2, 33, 255, 255, 66, 65, 64})
+	f.Add(int64(5), uint8(129), uint8(12), []byte{1, 40, 80, 120, 129, 130, 131, 200, 253, 255, 131, 130, 129, 128})
+	f.Add(int64(6), uint8(199), uint8(8), []byte{1, 50, 100, 150, 199, 200, 201, 202, 254, 255, 200, 100, 0, 201, 150})
+	f.Fuzz(func(t *testing.T, seed int64, nb, density uint8, data []byte) {
+		n := 1 + int(nb)%200
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+		labels := make([]string, n) // labels[i] is the vertex at topological position i
+		for _, p := range rng.Perm(n) {
+			labels[p] = "v" + itoa(p)
+			g.AddVertex(labels[p])
+		}
+		// Up to a quarter of forward pairs; past 32 vertices the expected
+		// out-degree is capped near 8 so the naive oracle stays fast.
+		p := float64(density%64) / 256
+		if n > 32 {
+			p *= 32 / float64(n)
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < p {
+					g.AddEdge(labels[i], labels[j])
+				}
+			}
+		}
+		sr, err := NewSubsetReducer(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := sr.NewMarkScratch()
+		marked := NewBitset(n * n)
+		want := map[Edge]bool{}
+		for q := 0; len(data) > 0 && q < 64; q++ {
+			query := data
+			if i := bytes.IndexByte(data, 255); i >= 0 {
+				query, data = data[:i], data[i+1:]
+			} else {
+				data = nil
+			}
+			members := make([]int, 0, len(query))
+			var names []string
+			for _, b := range query {
+				v := int(b) - 1
+				members = append(members, v)
+				if v >= 0 && v < n {
+					names = append(names, g.VertexLabel(v))
+				}
+			}
+			sr.MarkSubsetInto(members, sc, marked)
+			for _, w := range sc.member {
+				if w != 0 {
+					t.Fatalf("members %v: scratch member set not empty after the query: %x", members, sc.member)
+				}
+			}
+			for _, e := range oracleReduceSubset(t, g, names) {
+				want[e] = true
+			}
+			got := markedEdges(g, marked)
+			if len(got) != len(want) {
+				t.Fatalf("members %v: marked %v, want %d oracle edges", members, got, len(want))
+			}
+			for _, e := range got {
+				if !want[e] {
+					t.Fatalf("members %v: marked %v, not in the oracle's union", members, e)
+				}
+			}
+		}
+	})
 }

@@ -25,6 +25,7 @@ import (
 // and a process name starting with '#', which makes its line a comment.
 func WriteText(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
+	var line []byte // one line's bytes, reused across events
 	for _, ev := range events {
 		if err := textNameError("process", ev.ProcessID); err != nil {
 			return err
@@ -32,10 +33,8 @@ func WriteText(w io.Writer, events []Event) error {
 		if err := textNameError("activity", ev.Activity); err != nil {
 			return err
 		}
-		if _, err := bw.WriteString(ev.String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(ev.appendText(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,8 @@ package wlog
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,6 +34,25 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, events) {
 		t.Fatalf("round trip mismatch:\ngot  %v\nwant %v", got, events)
+	}
+}
+
+// TestEventStringMatchesSprintf pins Event.String, and so WriteText and
+// filter.go's dedupe key, to the fmt form it replaced.
+func TestEventStringMatchesSprintf(t *testing.T) {
+	events := append(sampleEvents(),
+		Event{ProcessID: "case-é", Activity: "A#2", Type: EventType(7), Time: time.Unix(-5, -3)},
+		Event{ProcessID: "p", Activity: "Z", Type: End, Time: time.Unix(1<<33, 999999999), Output: Output{-1, 0, math.MaxInt, math.MinInt}},
+		Event{},
+	)
+	for _, e := range events {
+		want := fmt.Sprintf("%s %s %s %d", e.ProcessID, e.Activity, e.Type, e.Time.UnixNano())
+		for _, v := range e.Output {
+			want += fmt.Sprintf(" %d", v)
+		}
+		if got := e.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -213,15 +213,6 @@ func (c *Columnar) NumSets() int { return len(c.setOff) - 1 }
 // ExecSet returns the per-execution distinct-set index (shared slice).
 func (c *Columnar) ExecSet() []int32 { return c.execSet }
 
-// SetLabels appends the labels of distinct set s to dst and returns it,
-// in sorted (dense-ID) order.
-func (c *Columnar) SetLabels(dst []string, s int) []string {
-	for _, id := range c.setIDs[c.setOff[s]:c.setOff[s+1]] {
-		dst = append(dst, c.in.labels[id])
-	}
-	return dst
-}
-
 // Counts is one set of dense pair accumulators over interner IDs: the
 // ordered/overlap/co-occurrence support matrices of the step-2 scan, plus
 // the generation-marked per-execution dedup matrices. All matrices are n×n

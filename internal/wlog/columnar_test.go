@@ -133,11 +133,19 @@ func TestBuildColumnarShape(t *testing.T) {
 	if es[0] != es[3] || es[0] == es[1] || es[0] == es[2] {
 		t.Fatalf("ExecSet = %v, want exec 0 and 3 sharing one set distinct from 1 and 2", es)
 	}
-	if got := col.SetLabels(nil, int(es[2])); !equalStrings(got, []string{"C", "E"}) {
-		t.Fatalf("SetLabels(exec 2's set) = %q, want [C E]", got)
+	setIDs, setOff := col.DistinctSets()
+	setLabels := func(s int32) []string {
+		var out []string
+		for _, id := range setIDs[setOff[s]:setOff[s+1]] {
+			out = append(out, col.Interner().Label(id))
+		}
+		return out
 	}
-	if got := col.SetLabels(nil, int(es[0])); !equalStrings(got, []string{"A", "B", "C", "E"}) {
-		t.Fatalf("SetLabels(exec 0's set) = %q, want [A B C E]", got)
+	if got := setLabels(es[2]); !equalStrings(got, []string{"C", "E"}) {
+		t.Fatalf("labels of exec 2's set = %q, want [C E]", got)
+	}
+	if got := setLabels(es[0]); !equalStrings(got, []string{"A", "B", "C", "E"}) {
+		t.Fatalf("labels of exec 0's set = %q, want [A B C E]", got)
 	}
 }
 

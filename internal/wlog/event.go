@@ -12,6 +12,7 @@ package wlog
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -93,9 +94,21 @@ type Event struct {
 
 // String renders the event in the canonical text-log form.
 func (e Event) String() string {
-	s := fmt.Sprintf("%s %s %s %d", e.ProcessID, e.Activity, e.Type, e.Time.UnixNano())
+	return string(e.appendText(make([]byte, 0, len(e.ProcessID)+len(e.Activity)+32+8*len(e.Output))))
+}
+
+// appendText appends the event's text-log line, without its newline, to b.
+func (e Event) appendText(b []byte) []byte {
+	b = append(b, e.ProcessID...)
+	b = append(b, ' ')
+	b = append(b, e.Activity...)
+	b = append(b, ' ')
+	b = append(b, e.Type.String()...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, e.Time.UnixNano(), 10)
 	for _, v := range e.Output {
-		s += fmt.Sprintf(" %d", v)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return s
+	return b
 }
