@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -139,15 +140,11 @@ func textOf(t *testing.T, l *wlog.Log) string {
 	return b.String()
 }
 
-// batchDot mines the whole log in-process, as the oracle for the recovered
-// service model.
+// batchDot batch-mines the whole log in-process with core.MineContext, as
+// the oracle for the recovered service model.
 func batchDot(t *testing.T, l *wlog.Log) string {
 	t.Helper()
-	im := core.NewIncrementalMiner()
-	if err := im.AddLog(l); err != nil {
-		t.Fatal(err)
-	}
-	g, err := im.Mine(core.Options{})
+	g, err := core.MineContext(context.Background(), l, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,10 +132,11 @@ const (
 // mine is the one batch Algorithm 2/3 pipeline: every Mine*Context entry
 // point but Algorithm 1's, and MineWithDiagnosticsContext, run through it,
 // so option validation, limits, cancellation and the stage funnel come
-// from one place. Stages: label → columnar → scan → threshold (steps 1-3)
-// → scc (step 4) → mark (steps 5-6) → reduce (Algorithm 3's merge). A
-// non-nil diag receives the funnel counts and the stage trace; with nil,
-// neither is computed.
+// from one place. Stages: label → columnar → scan build the step-2 state
+// from the log, and state.mine runs threshold (steps 1-3) → scc (step 4) →
+// mark (steps 5-6) → reduce (Algorithm 3's merge) on it. A non-nil diag
+// receives the funnel counts and the stage trace; with nil, neither is
+// computed.
 func mine(ctx context.Context, l *wlog.Log, opt Options, alg algorithm, diag *Diagnostics) (*graph.Digraph, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -183,10 +184,39 @@ func mine(ctx context.Context, l *wlog.Log, opt Options, alg algorithm, diag *Di
 	pc := scanWith(work, scanWorkers(col.NumExecutions(), col.Alphabet()), tr)
 	sp.End()
 
-	sp = tr.Start("threshold")
-	g, err := assembleFollowsGraph(col.Labels(), pc, opt)
+	st := &state{labels: col.Labels(), pc: pc}
+	st.setIDs, st.setOff = col.DistinctSets()
+	if diag != nil {
+		diag.Executions = l.Len()
+	}
+	return st.mine(ctx, opt, labeled, tr, "threshold", "reduce", diag)
+}
+
+// state is the step-2 state that steps 3-7 run on, in the shape the batch
+// pipeline's columnar view gives: the labeled alphabet by ID, the pair
+// counts over it, and the distinct activity sets as an ID arena (set s is
+// setIDs[setOff[s]:setOff[s+1]], members in label order). Batch mining
+// builds one from its columnar view and scan; an IncrementalMiner holds one
+// and grows it.
+type state struct {
+	labels         []string
+	pc             pairCounts
+	setIDs, setOff []int32
+}
+
+// mine runs steps 3-7 on the state: thresholding and 2-cycle and overlap
+// cancellation (steps 1-3), SCC removal (step 4), marking (steps 5-6) and,
+// when labeled, Algorithm 3's instance merge. It is the one implementation
+// that batch mining, the IncrementalMiner and /model share; callers
+// validate opt and check ctx first. The two stages whose names differ by
+// caller are named by it: batch mining says threshold and reduce, the
+// incremental miner assemble and merge. A non-nil diag receives the funnel
+// counts and tr's stages.
+func (st *state) mine(ctx context.Context, opt Options, labeled bool, tr *obs.Trace, thresholdStage, mergeStage string, diag *Diagnostics) (*graph.Digraph, error) {
+	sp := tr.Start(thresholdStage)
+	g, err := assembleFollowsGraph(st.labels, st.pc, opt)
 	if err == nil && diag != nil {
-		err = diag.countPruned(pc, g, opt)
+		err = diag.countPruned(st.pc, g, opt)
 	}
 	if err != nil {
 		return nil, err
@@ -208,22 +238,22 @@ func mine(ctx context.Context, l *wlog.Log, opt Options, alg algorithm, diag *Di
 	}
 
 	sp = tr.Start("mark")
-	sr, marked, err := markRequired(ctx, g, col)
+	sr, marked, err := markRequired(ctx, g, st.setIDs, st.setOff)
 	if err != nil {
 		return nil, err
 	}
 	unmarked := sr.PruneUnmarked(marked)
 	sp.End()
 
-	sp = tr.Start("reduce")
+	sp = tr.Start(mergeStage)
 	if labeled {
 		g = MergeInstances(g)
 	}
 	sp.End()
 
 	if diag != nil {
-		diag.Executions, diag.Activities, diag.Labeled = l.Len(), col.Alphabet(), labeled
-		diag.OrderedPairs = len(pc.order)
+		diag.Activities, diag.Labeled = len(st.labels), labeled
+		diag.OrderedPairs = len(st.pc.order)
 		diag.IntraSCCRemoved, diag.UnmarkedRemoved = intraSCC, unmarked
 		diag.FinalEdges = g.NumEdges()
 		diag.Stages = tr.Stages()

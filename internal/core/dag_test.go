@@ -285,8 +285,8 @@ func TestMarkRequiredEdgesExported(t *testing.T) {
 }
 
 func TestMarkingParallelManySignatures(t *testing.T) {
-	// Hundreds of distinct activity sets exercise the concurrent marking
-	// path; the result must match a straightforward sequential computation.
+	// Hundreds of distinct activity sets through the one marking path,
+	// which runs on one core: two mines must give the same graph.
 	rng := rand.New(rand.NewSource(77))
 	acts := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
 	var seqs [][]string
@@ -314,21 +314,20 @@ func TestMarkingParallelManySignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !graph.EqualGraphs(a, b) {
-		t.Fatal("concurrent marking nondeterministic")
+		t.Fatal("marking nondeterministic")
 	}
 }
 
 // TestMarkRequiredEdgesCyclicFailsOnBothPaths drives the exported marking
-// pass with a cyclic graph (the only way to reach the per-subgraph fallback)
-// on both the sequential and the parallel schedule. The parallel collector
-// must surface the first reduction error — and cancel the remaining jobs —
-// rather than hang or swallow it.
+// pass, the only way to hand the marking a cyclic graph, under GOMAXPROCS 1
+// and 4. Marking runs on one core either way, over many distinct sets, and
+// must surface the reducer's error rather than hang or swallow it.
 func TestMarkRequiredEdgesCyclicFailsOnBothPaths(t *testing.T) {
 	g := graph.NewFromEdges(edge("A", "B"), edge("B", "A"))
 	l := &wlog.Log{}
 	for i := 0; i < 64; i++ {
-		// Distinct activity sets {A, B, x_i} so the parallel path has many
-		// jobs to cancel after the first failure.
+		// Distinct activity sets {A, B, x_i}, so there are many sets to
+		// mark.
 		x := "x" + itoa(i)
 		g.AddEdge("B", x)
 		l.Executions = append(l.Executions, wlog.FromSequence("c"+itoa(i), "A", "B", x))

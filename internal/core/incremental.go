@@ -15,12 +15,14 @@ import (
 // fresh conformal graph can be materialized at any point without rescanning
 // past executions.
 //
-// The miner maintains the step-2 state incrementally — ordered-pair,
-// overlap and co-occurrence support counts, the activity alphabet, and the
-// set of distinct activity-set signatures (what Algorithm 2's marking pass
-// actually consumes). Add counts each execution with the batch scan's own
-// followsCounts kernel. Memory is O(n² + distinct signatures), independent
-// of the number of executions. Mine replays steps 3-7 on that state.
+// The miner maintains the step-2 state incrementally, in the shape batch
+// mining builds from its columnar view: the labeled activity alphabet by
+// ID, the ordered-pair, overlap and co-occurrence support counts, and the
+// distinct activity sets (what Algorithm 2's marking pass actually
+// consumes) as an ID arena. Add counts each execution with the batch scan's
+// own followsCounts kernel. Memory is O(n² + distinct sets), independent of
+// the number of executions. Mine runs steps 3-7 on that state through the
+// function batch mining runs them through.
 //
 // Every execution is stored in instance-labeled form (Algorithm 3), so
 // processes with cycles work transparently; for acyclic logs the labeled
@@ -29,14 +31,15 @@ import (
 // The zero value is ready to use. IncrementalMiner is not safe for
 // concurrent use.
 type IncrementalMiner struct {
-	activities map[string]bool
-	// pc holds the step-2 counts over the labeled activities, in the batch
-	// scan's form, so Mine thresholds them (Options.AdaptiveEpsilon
-	// included) exactly as the batch path does.
-	pc pairCounts
-	// sigs maps an activity-set signature to the sorted labeled activity
-	// set; the marking pass needs each distinct set once.
-	sigs map[string][]string
+	// st is the step-2 state. Labels take IDs in order of arrival; a set's
+	// members stay in label order.
+	st state
+	// ids maps a labeled activity to its ID in st.labels, and sets maps a
+	// setKey to the set's index in st's arena.
+	ids  map[string]int32
+	sets map[string]int32
+	// key is setKey's scratch, so a set already seen costs no allocation.
+	key []byte
 	// executions counts Add calls.
 	executions int
 }
@@ -50,11 +53,37 @@ func NewIncrementalMiner() *IncrementalMiner {
 
 // init lazily initializes the zero value.
 func (im *IncrementalMiner) init() {
-	if im.activities == nil {
-		im.activities = make(map[string]bool)
-		im.pc = newPairCounts()
-		im.sigs = make(map[string][]string)
+	if im.ids == nil {
+		im.st = state{pc: newPairCounts(), setOff: []int32{0}}
+		im.ids = make(map[string]int32)
+		im.sets = make(map[string]int32)
 	}
+}
+
+// intern returns the ID of a labeled activity, adding it to the alphabet on
+// first sight.
+func (im *IncrementalMiner) intern(a string) int32 {
+	id, ok := im.ids[a]
+	if !ok {
+		id = int32(len(im.st.labels))
+		im.ids[a] = id
+		im.st.labels = append(im.st.labels, a)
+	}
+	return id
+}
+
+// addSet adds a sorted labeled activity set to the arena unless an equal
+// set is there already.
+func (im *IncrementalMiner) addSet(set []string) {
+	im.key = setKey(im.key[:0], set)
+	if _, ok := im.sets[string(im.key)]; ok {
+		return
+	}
+	im.sets[string(im.key)] = int32(len(im.st.setOff) - 1)
+	for _, a := range set {
+		im.st.setIDs = append(im.st.setIDs, im.intern(a))
+	}
+	im.st.setOff = append(im.st.setOff, int32(len(im.st.setIDs)))
 }
 
 // Executions returns the number of executions added so far.
@@ -63,7 +92,7 @@ func (im *IncrementalMiner) Executions() int { return im.executions }
 // Activities returns the (unlabeled) activity alphabet seen so far, sorted.
 func (im *IncrementalMiner) Activities() []string {
 	set := map[string]bool{}
-	for a := range im.activities {
+	for _, a := range im.st.labels {
 		set[UnlabelActivity(a)] = true
 	}
 	out := make([]string, 0, len(set))
@@ -75,15 +104,11 @@ func (im *IncrementalMiner) Activities() []string {
 }
 
 // Add incorporates one completed execution. Any activity name is accepted,
-// '#' included, so the error is always nil.
+// '#' and NUL included, so the error is always nil.
 func (im *IncrementalMiner) Add(exec wlog.Execution) error {
 	im.init()
 	labeled := LabelInstances(&wlog.Log{Executions: []wlog.Execution{exec}})
-	set := im.pc.addExecution(labeled.Executions[0])
-	for _, a := range set {
-		im.activities[a] = true
-	}
-	im.sigs[signature(set)] = set
+	im.addSet(im.st.pc.addExecution(labeled.Executions[0]))
 	im.executions++
 	return nil
 }
@@ -103,12 +128,12 @@ func (im *IncrementalMiner) AddLog(l *wlog.Log) error {
 // the marking pass over the distinct labeled activity sets, and the
 // instance merge of Algorithm 3.
 //
-// Thresholding — including the per-pair Options.AdaptiveEpsilon balance
-// rule — runs through the same assembleFollowsGraph used by the batch
-// miners, so mining a log incrementally and batch-mining the same log with
-// the same Options produce identical graphs (the parity property tests
-// gate this). Like the batch entry points it fails with ErrInvalidEpsilon
-// on an out-of-range AdaptiveEpsilon.
+// These steps — thresholding with the per-pair Options.AdaptiveEpsilon
+// balance rule included — run through the batch miners' own state.mine, so
+// mining a log incrementally and batch-mining the same log with the same
+// Options produce identical graphs (the parity property tests and
+// FuzzMinePaths gate this). Like the batch entry points it fails with
+// ErrInvalidEpsilon on an out-of-range AdaptiveEpsilon.
 func (im *IncrementalMiner) Mine(opt Options) (*graph.Digraph, error) {
 	return im.MineContext(context.Background(), opt)
 }

@@ -241,7 +241,7 @@ func TestWideAlphabetCountsMatchOracle(t *testing.T) {
 	if err := im.AddLog(l); err != nil {
 		t.Fatal(err)
 	}
-	requireCounts(t, "IncrementalMiner", im.pc, followsCountsMap(labeled))
+	requireCounts(t, "IncrementalMiner", im.st.pc, followsCountsMap(labeled))
 }
 
 // TestFollowsCountsParallelDeterministic re-runs the sharded scan and
@@ -325,8 +325,8 @@ func TestFollowsCountsAutoParallelMatchesSequential(t *testing.T) {
 }
 
 // TestMineGeneralDAGParallelSchedulesMatch mines the same log under 1 and 4
-// procs (covering both the sharded scan and the parallel marking pass, which
-// the race detector then observes) and requires byte-identical graphs.
+// procs (covering the sharded scan, which the race detector then observes)
+// and requires byte-identical graphs.
 func TestMineGeneralDAGParallelSchedulesMatch(t *testing.T) {
 	l := scanLog(t, 20, 512)
 	mine := func() string {

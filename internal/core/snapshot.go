@@ -74,38 +74,42 @@ func pairCountsOf(m map[graph.Edge]int) []PairCount {
 
 // Snapshot exports the miner's accumulated state. The result shares no
 // memory with the miner, so it remains valid while the miner keeps
-// ingesting.
+// ingesting. Its sets are listed in the order of their sorted keys, which
+// does not depend on the order in which they arrived.
 func (im *IncrementalMiner) Snapshot() *MinerSnapshot {
 	im.init()
 	s := &MinerSnapshot{
 		Schema:     MinerSnapshotSchema,
 		Executions: im.executions,
-		Activities: make([]string, 0, len(im.activities)),
-		Order:      pairCountsOf(im.pc.order),
-		Overlap:    pairCountsOf(im.pc.overlap),
-		Cooc:       pairCountsOf(im.pc.cooc),
-		Sigs:       make([][]string, 0, len(im.sigs)),
-	}
-	for a := range im.activities {
-		s.Activities = append(s.Activities, a)
+		Activities: append(make([]string, 0, len(im.st.labels)), im.st.labels...),
+		Order:      pairCountsOf(im.st.pc.order),
+		Overlap:    pairCountsOf(im.st.pc.overlap),
+		Cooc:       pairCountsOf(im.st.pc.cooc),
+		Sigs:       make([][]string, 0, len(im.sets)),
 	}
 	sort.Strings(s.Activities)
-	keys := make([]string, 0, len(im.sigs))
-	for k := range im.sigs {
+	keys := make([]string, 0, len(im.sets))
+	for k := range im.sets {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	// One backing array holds every set's labels; each set's slice is capped
+	// at its own end.
+	members := make([]string, len(im.st.setIDs))
+	at := 0
 	for _, k := range keys {
-		set := im.sigs[k]
-		cp := make([]string, len(set))
-		copy(cp, set)
-		s.Sigs = append(s.Sigs, cp)
+		set, lo := im.sets[k], at
+		for _, id := range im.st.setIDs[im.st.setOff[set]:im.st.setOff[set+1]] {
+			members[at] = im.st.labels[id]
+			at++
+		}
+		s.Sigs = append(s.Sigs, members[lo:at:at])
 	}
 	return s
 }
 
 // Validate checks the snapshot's structural invariants: schema, non-negative
-// counts, and sorted signature sets.
+// counts, and signature sets sorted without repeats.
 func (s *MinerSnapshot) Validate() error {
 	if s.Schema != MinerSnapshotSchema {
 		return fmt.Errorf("%w: got %q, want %q", ErrSnapshotSchema, s.Schema, MinerSnapshotSchema)
@@ -121,8 +125,10 @@ func (s *MinerSnapshot) Validate() error {
 		}
 	}
 	for _, set := range s.Sigs {
-		if !sort.StringsAreSorted(set) {
-			return fmt.Errorf("core: snapshot signature set %v is not sorted", set)
+		for i := 1; i < len(set); i++ {
+			if set[i-1] >= set[i] {
+				return fmt.Errorf("core: snapshot signature set %v is not sorted without repeats", set)
+			}
 		}
 	}
 	return nil
@@ -141,21 +147,19 @@ func (im *IncrementalMiner) RestoreSnapshot(s *MinerSnapshot) error {
 	im.init()
 	im.executions += s.Executions
 	for _, a := range s.Activities {
-		im.activities[a] = true
+		im.intern(a)
 	}
 	for _, pc := range s.Order {
-		im.pc.order[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
+		im.st.pc.order[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
 	}
 	for _, pc := range s.Overlap {
-		im.pc.overlap[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
+		im.st.pc.overlap[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
 	}
 	for _, pc := range s.Cooc {
-		im.pc.cooc[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
+		im.st.pc.cooc[graph.Edge{From: pc.From, To: pc.To}] += pc.Count
 	}
 	for _, set := range s.Sigs {
-		cp := make([]string, len(set))
-		copy(cp, set)
-		im.sigs[signature(cp)] = cp
+		im.addSet(set)
 	}
 	return nil
 }
@@ -201,51 +205,5 @@ func (im *IncrementalMiner) MineTracedContext(ctx context.Context, opt Options, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp := tr.Start("assemble")
-	acts := make([]string, 0, len(im.activities))
-	for a := range im.activities {
-		acts = append(acts, a)
-	}
-	sort.Strings(acts)
-	g, err := assembleFollowsGraph(acts, im.pc, opt)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	sp = tr.Start("scc")
-	g.RemoveIntraSCCEdges()
-	sp.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp = tr.Start("mark")
-	sr, err := graph.NewSubsetReducer(g)
-	if err != nil {
-		return nil, fmt.Errorf("core: incremental marking: %w", err)
-	}
-	// The marking replays through the same dense MarkSubsetInto kernel the
-	// batch pipeline uses: one scratch and one pair bitset serve every
-	// signature, and the bitset union is order-independent, so iterating
-	// the signature map directly is deterministic.
-	n := sr.N()
-	sc := sr.NewMarkScratch()
-	marked := graph.NewBitset(n * n)
-	for _, set := range im.sigs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sc.Members = sc.Members[:0]
-		for _, a := range set {
-			if i, ok := g.VertexIndex(a); ok {
-				sc.Members = append(sc.Members, i)
-			}
-		}
-		sr.MarkSubsetInto(sc.Members, sc, marked)
-	}
-	sr.PruneUnmarked(marked)
-	sp.End()
-	sp = tr.Start("merge")
-	g = MergeInstances(g)
-	sp.End()
-	return g, nil
+	return im.st.mine(ctx, opt, true, tr, "assemble", "merge", nil)
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -13,6 +15,67 @@ import (
 	"procmine/internal/synth"
 	"procmine/internal/wlog"
 )
+
+// pinnedV1Log is the small cyclic log, '#' names included, whose miner
+// snapshot and mined model testdata/miner-snapshot-v1.json and .dot pin.
+// Both files were written by the miner before its state moved to an ID
+// arena.
+func pinnedV1Log() *wlog.Log {
+	return &wlog.Log{Executions: []wlog.Execution{
+		wlog.FromSequence("x1", "A", "B#1", "C", "B#1", "D"),
+		wlog.FromSequence("x2", "A", "B#1", "C", "D"),
+		wlog.FromSequence("x3", "A", "x#", "B#1", "C", "B#1", "C", "D"),
+		wlog.FromSequence("x4", "A", "#", "D"),
+	}}
+}
+
+// TestMinerSnapshotV1Pinned pins the v1 snapshot bytes across versions: a
+// miner fed pinnedV1Log encodes byte for byte to the committed file, and a
+// miner restored from that file mines the committed model and encodes the
+// same bytes again.
+func TestMinerSnapshotV1Pinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "miner-snapshot-v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dot, err := os.ReadFile(filepath.Join("testdata", "miner-snapshot-v1.dot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := NewIncrementalMiner()
+	if err := im.AddLog(pinnedV1Log()); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := im.Snapshot().Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("Snapshot().Encode diverges from the v1 file:\n%s", b.String())
+	}
+	s, err := DecodeMinerSnapshot(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewIncrementalMiner()
+	if err := restored.RestoreSnapshot(s); err != nil {
+		t.Fatal(err)
+	}
+	g, err := restored.Mine(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Dot("procmined"); got != string(dot) {
+		t.Errorf("restored v1 snapshot mines a different model\ngot:\n%s\nwant:\n%s", got, dot)
+	}
+	b.Reset()
+	if err := restored.Snapshot().Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("restored v1 snapshot re-encodes differently:\n%s", b.String())
+	}
+}
 
 // snapshotLogs is the fixture family for the snapshot properties: a clean
 // synthetic DAG log, noise-corrupted variants, and a cyclic log with
@@ -198,6 +261,12 @@ func TestSnapshotValidate(t *testing.T) {
 	bad.Sigs = [][]string{{"B", "A"}}
 	if err := bad.Validate(); err == nil {
 		t.Error("unsorted signature set accepted")
+	}
+
+	bad = *good
+	bad.Sigs = [][]string{{"A", "A"}}
+	if err := bad.Validate(); err == nil {
+		t.Error("signature set with a repeated member accepted")
 	}
 
 	if _, err := DecodeMinerSnapshot(bytes.NewReader([]byte("{not json"))); err == nil {

@@ -53,8 +53,10 @@ type serveMetrics struct {
 	reg    *obs.Registry
 	httpm  *obs.HTTPMetrics
 	shards []shardMetrics
-	// mineStage maps stage name -> histogram; the known stages are
-	// pre-registered, unknown ones (future stages) resolve lazily.
+	// mineStage maps stage name -> histogram for the pre-registered
+	// stages. It is read-only after construction: concurrent /model
+	// requests read it, so unknown (future) stages resolve through the
+	// registry instead.
 	mineStage map[string]*obs.Histogram
 	// decode-stage totals for the request-level decode pass, before events
 	// are partitioned to shards.
@@ -127,7 +129,9 @@ func newServeMetrics(reg *obs.Registry, shards int, logger *slog.Logger) *serveM
 }
 
 // observeMineStages feeds a completed mine trace into the per-stage
-// histograms, resolving any stage name not pre-registered.
+// histograms. A stage name not pre-registered resolves through the
+// registry, whose lookup is locked and idempotent, and is not written back
+// to mineStage, which concurrent requests read.
 func (m *serveMetrics) observeMineStages(stages []obs.Stage) {
 	for _, st := range stages {
 		h := m.mineStage[st.Name]
@@ -135,7 +139,6 @@ func (m *serveMetrics) observeMineStages(stages []obs.Stage) {
 			h = m.reg.Histogram("procmined_mine_stage_seconds",
 				"Wall time per incremental-mine stage on /model requests.",
 				obs.LatencyBuckets(), obs.L("stage", st.Name))
-			m.mineStage[st.Name] = h
 		}
 		h.Observe(st.Seconds)
 	}

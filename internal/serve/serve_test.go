@@ -38,15 +38,12 @@ func textOf(t *testing.T, l *wlog.Log) string {
 	return b.String()
 }
 
-// batchDot mines a whole log in one miner and renders it as the server
-// would.
+// batchDot batch-mines a whole log with core.MineContext and renders it as
+// the server would. The oracle shares no code with the IncrementalMiner the
+// server mines through, beyond the steps 3-7 both run.
 func batchDot(t *testing.T, l *wlog.Log, opt core.Options) string {
 	t.Helper()
-	im := core.NewIncrementalMiner()
-	if err := im.AddLog(l); err != nil {
-		t.Fatal(err)
-	}
-	g, err := im.Mine(opt)
+	g, err := core.MineContext(context.Background(), l, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +127,8 @@ func TestShardedIngestMatchesBatch(t *testing.T) {
 // TestHashActivityNamesParity pins that any activity name mines, '#' (the
 // instance-label separator) included: a log whose names are "B#1" (also
 // repeated within an execution), "x#" and "#" gives byte-identical DOT
-// from MineCyclic, from an IncrementalMiner, and from a Skip-policy
-// /ingest in which every shard applies its batch.
+// from MineCyclic, from batch MineContext, and from a Skip-policy /ingest
+// in which every shard applies its batch to its IncrementalMiner.
 func TestHashActivityNamesParity(t *testing.T) {
 	l := &wlog.Log{Executions: []wlog.Execution{
 		wlog.FromSequence("h1", "A", "B#1", "x#", "B#1", "#", "C"),
@@ -150,7 +147,7 @@ func TestHashActivityNamesParity(t *testing.T) {
 		}
 	}
 	if got := batchDot(t, l, core.Options{}); got != want {
-		t.Errorf("IncrementalMiner model diverges from MineCyclic\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("batch MineContext model diverges from MineCyclic\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
 	s, err := New(Config{Shards: 3, Ingest: wlog.IngestOptions{Policy: wlog.Skip}})
@@ -168,6 +165,60 @@ func TestHashActivityNamesParity(t *testing.T) {
 	}
 	if got := modelDot(t, s); got != want {
 		t.Errorf("served model diverges from MineCyclic\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestNULNameIngestMatchesBatch pins that a NUL inside an activity name
+// cannot merge two distinct activity sets on the served path: one
+// execution runs a then b, another the single activity "a#1\x00b", whose
+// labeled set {"a#1\x00b#1"} a NUL-joined set key confused with
+// {"a#1", "b#1"}. A text /ingest of the events must serve the batch model,
+// a -> b included, for one shard and for several.
+func TestNULNameIngestMatchesBatch(t *testing.T) {
+	l := &wlog.Log{Executions: []wlog.Execution{
+		wlog.FromSequence("n1", "a", "b"),
+		wlog.FromSequence("n2", "a#1\x00b"),
+	}}
+	want := batchDot(t, l, core.Options{})
+	if !strings.Contains(want, "a -> b;") {
+		t.Fatalf("batch model lacks a -> b:\n%s", want)
+	}
+	for _, shards := range []int{1, 2} {
+		s, err := New(Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := ingestText(t, s, textOf(t, l), http.StatusOK); resp.Status != "ok" {
+			t.Fatalf("shards=%d: ingest status %q", shards, resp.Status)
+		}
+		if got := modelDot(t, s); got != want {
+			t.Errorf("shards=%d: served model diverges from batch mine\ngot:\n%s\nwant:\n%s", shards, got, want)
+		}
+	}
+}
+
+// TestObserveMineStagesConcurrent observes a stage name that is not
+// pre-registered from two goroutines at once, as two /model readers would
+// after a stage is added or renamed. Under -race this fails if the lookup
+// writes a map that concurrent requests read.
+func TestObserveMineStagesConcurrent(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newServeMetrics(reg, 1, nil)
+	stages := []obs.Stage{{Name: "unregistered", Seconds: 0.001}}
+	done := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for j := 0; j < 100; j++ {
+				m.observeMineStages(stages)
+			}
+		}()
+	}
+	<-done
+	<-done
+	h := reg.Histogram("procmined_mine_stage_seconds", "", obs.LatencyBuckets(), obs.L("stage", "unregistered"))
+	if got := h.Count(); got != 200 {
+		t.Errorf("unregistered stage observed %d times, want 200", got)
 	}
 }
 

@@ -13,6 +13,34 @@ import (
 	"procmine/internal/wlog"
 )
 
+// TestRestoreV1Checkpoint pins the v1 shard checkpoint across versions:
+// testdata/shard-0000.snap.json was written by an /admin/snapshot of the
+// miner before its state moved to an ID arena (a small cyclic log with '#'
+// names plus one open execution), and a server restored from it must pass
+// the integrity check and serve the model that code served,
+// testdata/shard-0000.dot.
+func TestRestoreV1Checkpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "shard-0000.snap.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "shard-0000.dot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "shard-0000.snap.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Shards: 1, SnapshotDir: dir})
+	if err != nil {
+		t.Fatalf("restoring the v1 checkpoint: %v", err)
+	}
+	if got := modelDot(t, s); got != string(want) {
+		t.Errorf("v1 checkpoint serves a different model\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // splitLog partitions a log's executions in two.
 func splitLog(l *wlog.Log, at int) (*wlog.Log, *wlog.Log) {
 	return &wlog.Log{Executions: l.Executions[:at]}, &wlog.Log{Executions: l.Executions[at:]}
